@@ -36,11 +36,13 @@ from .expansion import (
     expand_gamma_product,
     gamma_product_degree,
     indices_to_composition,
+    insertion_weight,
     log_concavity_check,
     mixed_eulerian_degree,
     mult_weight,
     oi_weight,
     pvol,
+    weight_scale,
 )
 from .localization import (
     MAX_GROUND_SET,

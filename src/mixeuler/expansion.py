@@ -14,8 +14,9 @@ Two weight conventions are supported and must agree on every degree:
   the n+1-k largest elements and OI is the over-intersection, the amount by
   which |S cap T| exceeds the generic overlap. Integer weights.
 * "mult": gamma_k = sum over flats S of (min(|S|, k) - k|S|/(n+1)) x_S.
-  Exact rational weights via fractions.Fraction; every degree must come out
-  an integer, and failure to do so raises InternalError.
+  Rational weights. Every engine scales them by L = lcm(1..n+1), which makes
+  each weight an integer (insertion_weight), and divides the finished sum by
+  L^r once; a degree that does not come out an integer raises InternalError.
 
 Multiplying a weighted flag sum by gamma_k inserts one new flat into each
 flag: if some flat of the flag has size exactly k the term dies, otherwise
@@ -23,28 +24,41 @@ there is a unique gap (F, G) in the flag with |F| < k < |G| (the ends padded
 with the empty set and the ground set), and every flat strictly between F
 and G enters with the convention's weight computed inside the interval.
 
-For matroids whose proper flats are exactly the subsets of size at most r
-(uniform matroids), degrees are also computed by aggregating flags into size
-sequences; with mult weights this regrouping is term-exact, and with oi
-weights the total outgoing weight of each gap depends only on sizes, so the
-degree agrees. The flag expansion remains the reference path and the default
-for everything that is not structurally uniform.
+Engines:
+
+* "auto", the interval DP. Postnikov's trees factor at the first flat
+  inserted: v_1 puts a flat G into the gap (lo, hi); a later class below |G|
+  then goes to the restriction [lo, G], one above it to the contraction
+  [G, hi], and one equal to |G| kills the term. So
+  deg(lo, hi, vs) = sum_G w(lo, hi, G, v_1) deg(lo, G, vs_<) deg(G, hi, vs_>),
+  memoised on (lo, hi, vs) for the length of one call. It walks the flats,
+  except on matroids whose proper flats are exactly the small subsets
+  (uniform matroids): there it walks flat sizes, weighting each size by the
+  total weight of its flats ("sizes", which refuses other matroids).
+* "flag", the term-by-term flag expansion above. It is the reference oracle
+  the DP is tested against and the backend of expand_gamma_product.
+
+pvol runs the same DP with the weight summed over every class index.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from math import comb
+from math import comb, factorial, lcm, prod
 
 from .errors import CompositionMismatch, InternalError, VOutOfRange
-from .matroid import Matroid, largest_elements_mask
+from .matroid import Matroid
 
 __all__ = [
     "CONVENTIONS",
     "oi_weight",
     "mult_weight",
+    "weight_scale",
+    "insertion_weight",
     "compositions",
     "composition_to_indices",
     "indices_to_composition",
@@ -59,6 +73,7 @@ __all__ = [
 ]
 
 CONVENTIONS = ("oi", "mult")
+_ENGINES = ("auto", "flag", "sizes")
 
 
 def oi_weight(s_mask: int, t_mask: int, u_mask: int) -> int:
@@ -72,6 +87,33 @@ def oi_weight(s_mask: int, t_mask: int, u_mask: int) -> int:
 def mult_weight(s_size: int, k: int, u_size: int) -> Fraction:
     """Weight of a flat of size s_size in gamma_k over a u_size universe."""
     return min(s_size, k) - Fraction(k * s_size, u_size)
+
+
+def weight_scale(m: int, convention: str) -> int:
+    """Factor that makes every insertion weight on m elements an integer."""
+    return lcm(*range(1, m + 1)) if convention == "mult" else 1
+
+
+def insertion_weight(
+    lo: int, hi: int, g: int, val: int, convention: str, scale: int
+) -> int:
+    """Weight, times scale, with which flat g enters the gap (lo, hi) for gamma_val.
+
+    lo < g < hi are flat bitmasks and |lo| < val < |hi|. Under oi this is
+    the over-intersection of g with the |hi| - val largest elements of
+    hi - lo. Under mult it is min(s, k) - k s / u with s, k and u counted
+    from lo; scale must be a multiple of u, as weight_scale(m, "mult") is
+    for every gap, so the result is an integer.
+    """
+    lo_size = lo.bit_count()
+    if convention == "oi":
+        top = hi & ~lo
+        for _ in range(val - lo_size):
+            top &= top - 1  # drop the smallest element left
+        return scale * ((g & top).bit_count() - max(0, g.bit_count() - val))
+    s = g.bit_count() - lo_size
+    k = val - lo_size
+    return scale * min(s, k) - scale // (hi.bit_count() - lo_size) * k * s
 
 
 def compositions(total: int, parts: int):
@@ -112,6 +154,14 @@ def _check_convention(convention: str):
         raise VOutOfRange(f"unknown weight convention {convention!r}")
 
 
+def _unscale(total: int, divisor: int, what: str = "degree") -> int:
+    """total / divisor, which must be exact."""
+    quotient, rest = divmod(total, divisor)
+    if rest:
+        raise InternalError(f"{what} {Fraction(total, divisor)} is not an integer")
+    return quotient
+
+
 @dataclass
 class WeightedFlagSum:
     """A linear combination of flags of proper flats, keyed by flag tuple.
@@ -131,6 +181,9 @@ class WeightedFlagSum:
         return len(self.terms)
 
 
+# -- the flag engine: the reference oracle --------------------------------------
+
+
 def _find_gap(flag, val):
     """Gap index for inserting a flat of target size val, or None on a hit."""
     idx = 0
@@ -145,30 +198,39 @@ def _find_gap(flag, val):
     return idx
 
 
-def _expand_step(matroid, terms, val, convention):
+def _expand(matroid, vs, convention, scale):
+    """Flag -> weight times scale^len(vs), inserting the classes left to right."""
     full = matroid.full_mask
-    new = {}
-    for flag, w in terms.items():
-        idx = _find_gap(flag, val)
-        if idx is None:
-            continue
-        lo = flag[idx - 1] if idx else 0
-        hi = flag[idx] if idx < len(flag) else full
-        lo_size = lo.bit_count()
-        hi_size = hi.bit_count()
-        if convention == "oi":
-            t_mask = largest_elements_mask(hi & ~lo, hi_size - val)
-        for g in matroid.flats_strictly_between(lo, hi):
-            if convention == "oi":
-                wt = ((g & t_mask).bit_count()) - max(0, g.bit_count() - val)
-            else:
-                s_rel = (g & ~lo).bit_count()
-                wt = mult_weight(s_rel, val - lo_size, hi_size - lo_size)
-            if wt:
+    terms = {(): 1}
+    for val in vs:
+        new = {}
+        entering = {}  # gap -> its flats with nonzero weight for this val
+        for flag, w in terms.items():
+            idx = _find_gap(flag, val)
+            if idx is None:
+                continue
+            lo = flag[idx - 1] if idx else 0
+            hi = flag[idx] if idx < len(flag) else full
+            gap = entering.get((lo, hi))
+            if gap is None:
+                gap = entering[lo, hi] = [
+                    (g, wt)
+                    for g in matroid.flats_strictly_between(lo, hi)
+                    if (wt := insertion_weight(lo, hi, g, val, convention, scale))
+                ]
+            for g, wt in gap:
                 nf = flag[:idx] + (g,) + flag[idx:]
-                prev = new.get(nf)
-                new[nf] = w * wt if prev is None else prev + w * wt
-    return new
+                new[nf] = new.get(nf, 0) + w * wt
+        terms = new
+    return terms
+
+
+def _validate_product(matroid, vs):
+    if len(vs) > matroid.r:
+        raise VOutOfRange(f"product of {len(vs)} classes exceeds top degree {matroid.r}")
+    for val in vs:
+        if not 1 <= val <= matroid.n:
+            raise VOutOfRange(f"index {val} outside 1..{matroid.n}")
 
 
 def expand_gamma_product(matroid: Matroid, v, convention: str = "oi") -> WeightedFlagSum:
@@ -180,64 +242,127 @@ def expand_gamma_product(matroid: Matroid, v, convention: str = "oi") -> Weighte
     """
     _check_convention(convention)
     vs = tuple(v)
-    if len(vs) > matroid.r:
-        raise VOutOfRange(f"product of {len(vs)} classes exceeds top degree {matroid.r}")
-    for val in vs:
-        if not 1 <= val <= matroid.n:
-            raise VOutOfRange(f"index {val} outside 1..{matroid.n}")
-    terms = {(): 1 if convention == "oi" else Fraction(1)}
-    for val in vs:
-        terms = _expand_step(matroid, terms, val, convention)
+    _validate_product(matroid, vs)
+    scale = weight_scale(matroid.m, convention)
+    terms = _expand(matroid, vs, convention, scale)
+    if convention == "mult":
+        denom = scale ** len(vs)
+        terms = {flag: Fraction(w, denom) for flag, w in terms.items()}
     return WeightedFlagSum(matroid, convention, terms)
 
 
-def _uniform_gap_weight(lo, hi, g, val, convention):
-    """Total insertion weight over all flats of size g in a gap, sizes only."""
+# -- the interval DP --------------------------------------------------------------
+
+
+# A lattice as the DP walks it. between(lo, hi) lists the nodes strictly
+# inside an interval, each standing for one flat or for all flats of one
+# size; weight(lo, hi, g, val) is the scaled insertion weight of node g,
+# summed over the flats it stands for.
+_View = namedtuple("_View", "bottom top rank size between weight")
+
+
+def _flat_view(matroid, convention, scale):
+    """Nodes are the flats themselves, as bitmasks."""
+    rank = {f: k for k, level in enumerate(matroid.flats_by_rank) for f in level}
+    weight = partial(insertion_weight, convention=convention, scale=scale)
+    between = matroid.flats_strictly_between
+    return _View(0, matroid.full_mask, rank.__getitem__, int.bit_count, between, weight)
+
+
+def _uniform_gap_weight(lo, hi, g, val, convention, scale):
+    """insertion_weight summed over all flats of size g in a gap, sizes only."""
     u = hi - lo
+    x = g - lo
     if convention == "oi":
-        x = g - lo
-        return (hi - val) * comb(u - 1, x - 1) - comb(u, x) * max(0, g - val)
-    s_rel = g - lo
-    return comb(u, s_rel) * mult_weight(s_rel, val - lo, u)
+        return scale * ((hi - val) * comb(u - 1, x - 1) - comb(u, x) * max(0, g - val))
+    # mult weights depend on sizes only: any one flat of size g stands for all
+    lo_mask, hi_mask, g_mask = (1 << lo) - 1, (1 << hi) - 1, (1 << g) - 1
+    return comb(u, x) * insertion_weight(lo_mask, hi_mask, g_mask, val, convention, scale)
 
 
-def _degree_by_sizes(matroid, vs, convention):
+def _size_view(matroid, convention, scale):
+    """Node s stands for every flat of size s; proper flats have rank s."""
     m = matroid.m
-    max_flat = matroid.rank_total - 1
-    states = {(): 1 if convention == "oi" else Fraction(1)}
-    for val in vs:
-        new = {}
-        for sizes, w in states.items():
-            idx = 0
-            hit = False
-            for i, s in enumerate(sizes):
-                if s == val:
-                    hit = True
-                    break
-                if s < val:
-                    idx = i + 1
-                else:
-                    break
-            if hit:
-                continue
-            lo = sizes[idx - 1] if idx else 0
-            hi = sizes[idx] if idx < len(sizes) else m
-            for g in range(lo + 1, min(hi - 1, max_flat) + 1):
-                wt = _uniform_gap_weight(lo, hi, g, val, convention)
+    rank_total = matroid.rank_total
+    rank = {s: s for s in range(m)}
+    rank[m] = rank_total
+
+    def between(lo, hi):
+        return range(lo + 1, min(hi, rank_total))
+
+    weight = partial(_uniform_gap_weight, convention=convention, scale=scale)
+    return _View(0, m, rank.__getitem__, int, between, weight)
+
+
+def _pick_view(matroid, convention, engine, scale):
+    """The DP's lattice view for an engine name, None for the flag oracle."""
+    if engine not in _ENGINES:
+        raise VOutOfRange(f"unknown engine {engine!r}")
+    if engine == "flag":
+        return None
+    if matroid.is_size_uniform():
+        return _size_view(matroid, convention, scale)
+    if engine == "sizes":
+        raise VOutOfRange("size engine needs a structurally uniform matroid")
+    return _flat_view(matroid, convention, scale)
+
+
+def _interval_dp(view, vs):
+    """scale^len(vs) times the degree of the sorted product vs, by the DP."""
+    rank, size_of, between, weight = view.rank, view.size, view.between, view.weight
+    memo = {}
+
+    def deg(lo, hi, vs):
+        key = (lo, hi, vs)
+        got = memo.get(key)
+        if got is None:
+            val, rest = vs[0], vs[1:]
+            n_rest = len(rest)
+            base = rank(lo) + 1
+            got = 0
+            for g in between(lo, hi):
+                # a full flag puts exactly `a` flats, so `a` classes, below g
+                size = size_of(g)
+                a = rank(g) - base
+                if (a and rest[a - 1] >= size) or (a < n_rest and rest[a] <= size):
+                    continue
+                wt = weight(lo, hi, g, val)
                 if wt:
-                    ns = sizes[:idx] + (g,) + sizes[idx:]
-                    prev = new.get(ns)
-                    new[ns] = w * wt if prev is None else prev + w * wt
-        states = new
-    return sum(states.values())
+                    left = deg(lo, g, rest[:a]) if a else 1
+                    if left:
+                        got += wt * left * (deg(g, hi, rest[a:]) if a < n_rest else 1)
+            memo[key] = got
+        return got
+
+    if len(vs) != rank(view.top) - rank(view.bottom) - 1:
+        return 0
+    return deg(view.bottom, view.top, tuple(vs)) if vs else 1
 
 
-def _as_integer(value) -> int:
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise InternalError(f"degree {value} is not an integer")
-        return int(value)
-    return int(value)
+def _volume_dp(view):
+    """scale^r times the degree of (gamma_1 + ... + gamma_n)^r, by the DP."""
+    rank, size, between, weight = view.rank, view.size, view.between, view.weight
+    memo = {}
+
+    def vol(lo, hi):
+        j = rank(hi) - rank(lo) - 1  # classes this gap receives
+        if not j:
+            return 1
+        got = memo.get((lo, hi))
+        if got is None:
+            base = rank(lo) + 1
+            vals = range(size(lo) + 1, size(hi))
+            got = 0
+            for g in between(lo, hi):
+                wt = sum(weight(lo, hi, g, val) for val in vals)
+                if wt:
+                    # the j - 1 later classes interleave, a of them below g
+                    a = rank(g) - base
+                    got += wt * comb(j - 1, a) * vol(lo, g) * vol(g, hi)
+            memo[lo, hi] = got
+        return got
+
+    return vol(view.bottom, view.top)
 
 
 def gamma_product_degree(
@@ -249,23 +374,18 @@ def gamma_product_degree(
     from r, gives 0. Recursive identities lean on that convention.
     """
     _check_convention(convention)
+    scale = weight_scale(matroid.m, convention)
+    view = _pick_view(matroid, convention, engine, scale)
     vs = tuple(sorted(v))
     if len(vs) != matroid.r:
         return 0
     if vs and (vs[0] < 1 or vs[-1] > matroid.n):
         return 0
-    if engine == "auto":
-        engine = "sizes" if matroid.is_size_uniform() else "flag"
-    if engine == "sizes":
-        if not matroid.is_size_uniform():
-            raise VOutOfRange("size engine needs a structurally uniform matroid")
-        return _as_integer(_degree_by_sizes(matroid, vs, convention))
-    if engine != "flag":
-        raise VOutOfRange(f"unknown engine {engine!r}")
-    terms = {(): 1 if convention == "oi" else Fraction(1)}
-    for val in vs:
-        terms = _expand_step(matroid, terms, val, convention)
-    return _as_integer(sum(terms.values()))
+    if view is None:
+        total = sum(_expand(matroid, vs, convention, scale).values())
+    else:
+        total = _interval_dp(view, vs)
+    return _unscale(total, scale ** len(vs))
 
 
 def mixed_eulerian_degree(
@@ -291,62 +411,21 @@ def mixed_eulerian_degree(
 def pvol(matroid: Matroid, convention: str = "oi", engine: str = "auto") -> int:
     """Degree of (gamma_1 + ... + gamma_n)^r, the permutohedral volume.
 
-    Equals the multinomial-weighted sum of all A_c(M); computed in one
-    expansion by summing the insertion weight over all class indices.
+    Equals the multinomial-weighted sum of all A_c(M). The DP engines get it
+    in one pass by summing the insertion weight over every class index;
+    engine "flag" takes that multinomial sum over the flag oracle.
     """
     _check_convention(convention)
     r = matroid.r
-    if engine == "auto":
-        engine = "sizes" if matroid.is_size_uniform() else "flag"
-    if engine == "sizes":
-        m = matroid.m
-        max_flat = matroid.rank_total - 1
-        states = {(): 1 if convention == "oi" else Fraction(1)}
-        for _ in range(r):
-            new = {}
-            for sizes, w in states.items():
-                bounds = (0,) + sizes + (m,)
-                for idx in range(len(sizes) + 1):
-                    lo, hi = bounds[idx], bounds[idx + 1]
-                    for g in range(lo + 1, min(hi - 1, max_flat) + 1):
-                        wt = sum(
-                            _uniform_gap_weight(lo, hi, g, val, convention)
-                            for val in range(lo + 1, hi)
-                        )
-                        if wt:
-                            ns = sizes[:idx] + (g,) + sizes[idx:]
-                            prev = new.get(ns)
-                            new[ns] = w * wt if prev is None else prev + w * wt
-            states = new
-        return _as_integer(sum(states.values()))
-    full = matroid.full_mask
-    terms = {(): 1 if convention == "oi" else Fraction(1)}
-    for _ in range(r):
-        new = {}
-        for flag, w in terms.items():
-            chain = (0,) + flag + (full,)
-            for idx in range(len(flag) + 1):
-                lo, hi = chain[idx], chain[idx + 1]
-                lo_size = lo.bit_count()
-                hi_size = hi.bit_count()
-                for g in matroid.flats_strictly_between(lo, hi):
-                    wt = 0
-                    for val in range(lo_size + 1, hi_size):
-                        if convention == "oi":
-                            t_mask = largest_elements_mask(hi & ~lo, hi_size - val)
-                            wt += ((g & t_mask).bit_count()) - max(
-                                0, g.bit_count() - val
-                            )
-                        else:
-                            wt += mult_weight(
-                                (g & ~lo).bit_count(), val - lo_size, hi_size - lo_size
-                            )
-                    if wt:
-                        nf = flag[:idx] + (g,) + flag[idx:]
-                        prev = new.get(nf)
-                        new[nf] = w * wt if prev is None else prev + w * wt
-        terms = new
-    return _as_integer(sum(terms.values()))
+    scale = weight_scale(matroid.m, convention)
+    view = _pick_view(matroid, convention, engine, scale)
+    if view is not None:
+        return _unscale(_volume_dp(view), scale**r)
+    return sum(
+        factorial(r) // prod(map(factorial, c))
+        * mixed_eulerian_degree(matroid, c, convention, "flag")
+        for c in compositions(r, matroid.n)
+    )
 
 
 def count_initial_descending_flags(matroid: Matroid, k: int) -> int:

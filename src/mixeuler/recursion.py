@@ -1,13 +1,14 @@
 """Relation-based evaluators for mixed Eulerian degrees.
 
-The flag expansion is the reference; everything here recomputes degrees
-through structural relations so the two can be played against each other:
+The expansion engines compute degrees directly; everything here recomputes
+them through structural relations so the two can be played against each
+other:
 
 * an Eulerian-type one-step relation for sorted flatly contiguous index
   vectors with a repeated entry, summing over rank-1 and corank-1 flats;
 * deletion/contraction for contiguous sorted vectors, recursing through
-  minors and falling back to the flag engine whenever a child leaves the
-  relation's domain;
+  minors and falling back to the interval DP (gamma_product_degree's auto
+  engine) whenever a child leaves the relation's domain;
 * a two-block splitting over the flats separating a low block (containing
   index 1) from a high block (reaching the largest proper flat size);
 * the generating polynomial whose y^k coefficient shifts every index up by
@@ -21,11 +22,10 @@ wrong; recursions push vectors out of range freely and rely on that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import InternalError, PreconditionViolation, RankTooSmall, VOutOfRange
-from .expansion import gamma_product_degree, mult_weight
-from .matroid import Matroid, largest_elements_mask
+from .errors import PreconditionViolation, RankTooSmall, VOutOfRange
+from .expansion import _unscale, gamma_product_degree, insertion_weight, weight_scale
+from .matroid import Matroid
 from .polynomials import UniPoly
 from .tutte import tutte_polynomial
 
@@ -79,15 +79,10 @@ def c_degree(matroid: Matroid, v, s: int = 0, convention: str = "oi") -> int:
     return gamma_product_degree(matroid, full, convention)
 
 
-def _oi_flat_weight(matroid: Matroid, flat: int, val: int) -> int:
-    t_mask = largest_elements_mask(matroid.full_mask, matroid.m - val)
-    return (flat & t_mask).bit_count() - max(0, flat.bit_count() - val)
-
-
 def eulerian_recursion_degree(
     matroid: Matroid, v, j: int, convention: str = "oi"
 ) -> int:
-    """One step of the repeat-entry relation, children by the flag engine.
+    """One step of the repeat-entry relation, children by the interval DP.
 
     v must be sorted, flatly contiguous, of full length r, with the entry at
     1-based position j occurring at least twice. The value of gamma_{v_j} is
@@ -111,30 +106,22 @@ def eulerian_recursion_degree(
         raise PreconditionViolation("index vector is not flatly contiguous")
     val = vs[j - 1]
     rest = vs[: j - 1] + vs[j:]
-    total = 0 if convention == "oi" else Fraction(0)
+    full = matroid.full_mask
+    scale = weight_scale(matroid.m, convention)
+    total = 0
     for flat in matroid.flats_by_rank[1]:
-        if convention == "oi":
-            wt = _oi_flat_weight(matroid, flat, val)
-        else:
-            wt = mult_weight(flat.bit_count(), val, matroid.m)
+        wt = insertion_weight(0, full, flat, val, convention, scale)
         if wt:
             child, _ = matroid.contraction(flat)
             size = flat.bit_count()
             shifted = tuple(x - size for x in rest)
             total += wt * c_degree(child, shifted, 0, convention)
     for flat in matroid.flats_by_rank[r]:
-        if convention == "oi":
-            wt = _oi_flat_weight(matroid, flat, val)
-        else:
-            wt = mult_weight(flat.bit_count(), val, matroid.m)
+        wt = insertion_weight(0, full, flat, val, convention, scale)
         if wt:
             child, _ = matroid.restriction(flat)
             total += wt * c_degree(child, rest, 0, convention)
-    if isinstance(total, Fraction):
-        if total.denominator != 1:
-            raise InternalError(f"relation sum {total} is not an integer")
-        return int(total)
-    return total
+    return _unscale(total, scale, "relation sum")
 
 
 def _dc_applicable(matroid: Matroid, vs, s: int) -> bool:
@@ -209,7 +196,7 @@ def deletion_contraction_degree(
     bumping the first k-1 surviving indices and shifting everything down by
     p; a coloop contributes the deletion at s - 1 instead (dropped when
     s = 0) with shift 1. Children recurse while they satisfy the same
-    conditions and otherwise fall back to the flag engine.
+    conditions and otherwise fall back to the interval DP.
     """
     vs = tuple(v)
     if matroid.rank_total < 3:
@@ -272,12 +259,11 @@ def two_block_degree(matroid: Matroid, v_block, w_block, convention: str = "oi")
     w1 = ws[0]
     w_rest = ws[1:]
     ell = len(vs)
-    total = 0 if convention == "oi" else Fraction(0)
+    full = matroid.full_mask
+    scale = weight_scale(matroid.m, convention)
+    total = 0
     for flat in matroid.flats_by_rank[ell + 1]:
-        if convention == "oi":
-            wt = _oi_flat_weight(matroid, flat, w1)
-        else:
-            wt = mult_weight(flat.bit_count(), w1, matroid.m)
+        wt = insertion_weight(0, full, flat, w1, convention, scale)
         if not wt:
             continue
         size = flat.bit_count()
@@ -288,11 +274,7 @@ def two_block_degree(matroid: Matroid, v_block, w_block, convention: str = "oi")
             continue
         outer = c_degree(upper, tuple(x - size for x in w_rest), 0, convention)
         total += wt * inner * outer
-    if isinstance(total, Fraction):
-        if total.denominator != 1:
-            raise InternalError(f"two-block sum {total} is not an integer")
-        return int(total)
-    return total
+    return _unscale(total, scale, "two-block sum")
 
 
 def cv_polynomial(matroid: Matroid, v, convention: str = "oi") -> UniPoly:

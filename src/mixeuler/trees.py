@@ -21,8 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VOutOfRange
-from .matroid import Matroid, largest_elements_mask
-from .expansion import CONVENTIONS, mult_weight
+from .expansion import (
+    CONVENTIONS,
+    _find_gap,
+    _validate_product,
+    insertion_weight,
+    weight_scale,
+)
+from .matroid import Matroid
 
 __all__ = ["PostnikovTree", "tree_weight", "enumerate_trees", "aggregate_by_flag"]
 
@@ -91,26 +97,20 @@ def tree_weight(matroid: Matroid, tree: PostnikovTree, v, convention: str = "oi"
     """Product of per-vertex insertion weights, from the tree data alone."""
     if convention not in CONVENTIONS:
         raise VOutOfRange(f"unknown weight convention {convention!r}")
-    total = 1 if convention == "oi" else Fraction(1)
+    scale = weight_scale(matroid.m, convention)
+    total = 1
     for pos in range(tree.size):
         t = tree.labels[pos]
         val = v[t - 1]
         left, right = tree.neighbors_at_insertion(t)
         lo = 0 if left is None else tree.flats[left]
         hi = matroid.full_mask if right is None else tree.flats[right]
-        g = tree.flats[pos]
-        lo_size = lo.bit_count()
-        hi_size = hi.bit_count()
-        if not lo_size < val < hi_size:
+        if not lo.bit_count() < val < hi.bit_count():
             return 0
-        if convention == "oi":
-            t_mask = largest_elements_mask(hi & ~lo, hi_size - val)
-            total *= ((g & ~lo) & t_mask).bit_count() - max(0, g.bit_count() - val)
-        else:
-            total *= mult_weight((g & ~lo).bit_count(), val - lo_size, hi_size - lo_size)
+        total *= insertion_weight(lo, hi, tree.flats[pos], val, convention, scale)
         if not total:
-            return total
-    return total
+            break
+    return Fraction(total, scale**tree.size) if convention == "mult" else total
 
 
 def enumerate_trees(matroid: Matroid, v, convention: str = "oi"):
@@ -121,11 +121,7 @@ def enumerate_trees(matroid: Matroid, v, convention: str = "oi"):
     if convention not in CONVENTIONS:
         raise VOutOfRange(f"unknown weight convention {convention!r}")
     vs = tuple(v)
-    if len(vs) > matroid.r:
-        raise VOutOfRange(f"product of {len(vs)} classes exceeds top degree {matroid.r}")
-    for val in vs:
-        if not 1 <= val <= matroid.n:
-            raise VOutOfRange(f"index {val} outside 1..{matroid.n}")
+    _validate_product(matroid, vs)
     full = matroid.full_mask
     out = []
 
@@ -137,16 +133,9 @@ def enumerate_trees(matroid: Matroid, v, convention: str = "oi"):
             if w:
                 out.append((tree, w))
             return
-        val = vs[depth]
-        idx = 0
-        for i, f in enumerate(chain):
-            fs = f.bit_count()
-            if fs == val:
-                return
-            if fs < val:
-                idx = i + 1
-            else:
-                break
+        idx = _find_gap(chain, vs[depth])
+        if idx is None:
+            return
         lo = chain[idx - 1] if idx else 0
         hi = chain[idx] if idx < len(chain) else full
         label = depth + 1

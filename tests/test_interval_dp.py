@@ -1,0 +1,171 @@
+"""The interval DP against the flag oracle, localization and the weight formulas."""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from mixeuler import (
+    build_boolean,
+    build_projective_geometry,
+    build_sparse_paving,
+    build_uniform,
+    gamma_degree_via_localization,
+    largest_elements_mask,
+)
+from mixeuler import expansion
+from mixeuler.catalog import named_catalog
+from mixeuler.errors import InternalError, VOutOfRange
+from mixeuler.expansion import (
+    compositions,
+    insertion_weight,
+    mixed_eulerian_degree,
+    mult_weight,
+    oi_weight,
+    pvol,
+)
+
+# fixed seeds of the random sparse paving matroids; never change them to
+# make a failure go away
+SPARSE_PAVING_SEEDS = (11, 23, 37, 41, 59, 73)
+
+
+def random_sparse_paving(seed):
+    """Rank 3 or 4 on at most 8 elements, with 1 to 4 circuit-hyperplanes."""
+    rng = random.Random(seed)
+    rank = rng.choice((3, 4))
+    m = rng.randint(rank + 2, 8)
+    blocks = []
+    for _ in range(rng.randint(1, 4)):
+        cand = frozenset(rng.sample(range(m), rank))
+        if all(len(cand & b) <= rank - 2 for b in blocks):
+            blocks.append(cand)
+    return build_sparse_paving(rank, m, [tuple(sorted(b)) for b in blocks])
+
+
+def assert_dp_matches_flag(m, engine="auto"):
+    for c in compositions(m.r, m.n):
+        for conv in ("oi", "mult"):
+            want = mixed_eulerian_degree(m, c, conv, "flag")
+            assert mixed_eulerian_degree(m, c, conv, engine) == want, (m, c, conv)
+
+
+def test_flat_view_matches_flag_on_catalog():
+    small = [
+        m
+        for m in named_catalog().values()
+        if m.m <= 9 and not m.is_size_uniform()
+    ]
+    assert len(small) == 3  # fano and the two relaxations of U(3,6)
+    for m in small:
+        assert_dp_matches_flag(m)
+
+
+@pytest.mark.parametrize("m", [build_boolean(5), build_uniform(3, 6)], ids=repr)
+def test_size_view_matches_flag(m):
+    assert_dp_matches_flag(m, "sizes")
+
+
+@pytest.mark.parametrize("seed", SPARSE_PAVING_SEEDS)
+def test_random_sparse_paving_dp_flag_localization_agree(seed):
+    m = random_sparse_paving(seed)
+    assert m.m <= 8 and not m.is_size_uniform()
+    for c in compositions(m.r, m.n):
+        want = gamma_degree_via_localization(m, c)
+        for conv in ("oi", "mult"):
+            assert mixed_eulerian_degree(m, c, conv) == want, (seed, c, conv)
+            assert mixed_eulerian_degree(m, c, conv, "flag") == want, (seed, c, conv)
+
+
+def flag_loop_pvol(m, convention):
+    """(gamma_1 + ... + gamma_n)^r expanded term by term over flags.
+
+    Each step inserts one flat into any gap of each flag, weighted by the sum
+    over every class index that fits the gap, from the reference formulas.
+    """
+    full = m.full_mask
+    terms = {(): Fraction(1)}
+    for _ in range(m.r):
+        new = {}
+        for flag, w in terms.items():
+            chain = (0,) + flag + (full,)
+            for idx in range(len(flag) + 1):
+                lo, hi = chain[idx], chain[idx + 1]
+                u = hi & ~lo
+                lo_size, hi_size = lo.bit_count(), hi.bit_count()
+                for g in m.flats_strictly_between(lo, hi):
+                    wt = 0
+                    for val in range(lo_size + 1, hi_size):
+                        if convention == "oi":
+                            t = largest_elements_mask(u, hi_size - val)
+                            wt += oi_weight(g & ~lo, t, u)
+                        else:
+                            s = (g & ~lo).bit_count()
+                            wt += mult_weight(s, val - lo_size, hi_size - lo_size)
+                    if wt:
+                        nf = flag[:idx] + (g,) + flag[idx:]
+                        new[nf] = new.get(nf, 0) + w * wt
+        terms = new
+    return sum(terms.values())
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        build_projective_geometry(2, 2),
+        build_sparse_paving(3, 6, [(0, 1, 2), (3, 4, 5)]),
+        build_uniform(3, 5),
+        build_boolean(4),
+        random_sparse_paving(SPARSE_PAVING_SEEDS[0]),
+    ],
+    ids=repr,
+)
+def test_pvol_matches_flag_loop(m):
+    for conv in ("oi", "mult"):
+        assert pvol(m, conv) == flag_loop_pvol(m, conv), conv
+
+
+def test_pvol_engine_is_checked():
+    fano = build_projective_geometry(2, 2)
+    assert pvol(fano) == 378
+    with pytest.raises(VOutOfRange):
+        pvol(fano, engine="sizes")
+    with pytest.raises(VOutOfRange):
+        pvol(fano, engine="bogus")
+    with pytest.raises(VOutOfRange):
+        mixed_eulerian_degree(fano, (1, 1, 0, 0, 0, 0), engine="bogus")
+
+
+def test_insertion_weight_matches_reference_formulas():
+    m = build_projective_geometry(2, 2)
+    scale = lcm(*range(1, m.m + 1))
+    flats = [f for level in m.flats_by_rank for f in level]
+    cases = 0
+    for lo in flats:
+        for hi in flats:
+            if lo & hi != lo or lo == hi:
+                continue
+            u = hi & ~lo
+            lo_size, hi_size = lo.bit_count(), hi.bit_count()
+            for g in m.flats_strictly_between(lo, hi):
+                s = (g & ~lo).bit_count()
+                for val in range(lo_size + 1, hi_size):
+                    t = largest_elements_mask(u, hi_size - val)
+                    got = insertion_weight(lo, hi, g, val, "oi", 1)
+                    assert got == oi_weight(g & ~lo, t, u)
+                    got = insertion_weight(lo, hi, g, val, "mult", scale)
+                    want = scale * mult_weight(s, val - lo_size, hi_size - lo_size)
+                    assert got == want and isinstance(got, int)
+                    cases += 1
+    assert cases > 100
+
+
+@pytest.mark.parametrize("engine", ["auto", "flag"])
+def test_inexact_final_division_raises(monkeypatch, engine):
+    # every flat weighted 1: the scaled sum is a flag count far below L^r,
+    # so the division by L^r leaves a remainder
+    monkeypatch.setattr(expansion, "insertion_weight", lambda *args, **kwargs: 1)
+    fano = build_projective_geometry(2, 2)
+    with pytest.raises(InternalError):
+        expansion.gamma_product_degree(fano, (1, 2), "mult", engine)
