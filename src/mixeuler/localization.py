@@ -13,8 +13,11 @@ from the exponents and K(w):
 Each matching permutation contributes (-1)^des(w), and the total carries a
 global factor (-1)^n: the fixed-point denominator is a product of n edge
 differences whose orientation convention costs one sign each. The law is
-checked once on a rank-2 pair covering both parities of n and asserted
-against the flag engine everywhere else in tests.
+checked once against the flag engine on a rank-2 pair covering both
+parities of n, and asserted against it everywhere else in tests. The
+permutations are tallied once per matroid by jump set, then by descent set;
+the target depends only on d and the jump set, so a monomial costs one
+lookup per jump set.
 
 The per-permutation constant-term lemma behind this is also implemented
 directly (`series_constant_term`) by eliminating xi_{w(0)}, ..., xi_{w(n)}
@@ -124,13 +127,13 @@ def descent_target(d, k_set) -> DescentTarget:
 
 
 # ---------------------------------------------------------------------------
-# signed permutation classes, grouped by (jump set, descent set)
+# signed permutation classes, grouped by jump set, then by descent set
 
 _CLASS_CACHE: dict = {}
 
 
 def _perm_classes(matroid: Matroid) -> dict:
-    """Map (k_set, descents) -> sum of (-1)^des over the matching w.
+    """Map k_set -> {descents: sum of (-1)^des over the matching w}.
 
     Walks the prefix tree of permutations so each closure is computed once
     per tree node rather than once per permutation.
@@ -144,14 +147,13 @@ def _perm_classes(matroid: Matroid) -> dict:
     hit = _CLASS_CACHE.get(key)
     if hit is not None:
         return hit
-    m = matroid.m
     full = matroid.full_mask
     classes: dict = {}
 
     def grow(used_mask, closure_mask, last_img, pos, k_set, des_set, des_parity):
         if used_mask == full:
-            key2 = (k_set, des_set)
-            classes[key2] = classes.get(key2, 0) + (1 - 2 * (des_parity & 1))
+            by_des = classes.setdefault(k_set, {})
+            by_des[des_set] = by_des.get(des_set, 0) + (1 - 2 * (des_parity & 1))
             return
         remaining = full & ~used_mask
         while remaining:
@@ -182,17 +184,16 @@ def _perm_classes(matroid: Matroid) -> dict:
 _SIGN_CHECKED = False
 
 
-def _raw_descent_sum(matroid: Matroid, d) -> int:
-    """Sum of (-1)^des over permutations whose descents hit the target."""
-    total = 0
-    for (k_set, des_set), signed in _perm_classes(matroid).items():
-        if descent_target(d, k_set).indices == des_set:
-            total += signed
-    return total
+def _raw_descent_sum(classes: dict, d) -> int:
+    """Sum of (-1)^des over permutations whose descents hit the target:
+    one lookup per jump set of the grouped table `classes`."""
+    return sum(
+        by_des.get(descent_target(d, k).indices, 0) for k, by_des in classes.items()
+    )
 
 
 def _global_sign(matroid: Matroid) -> int:
-    """(-1)^n, checked once against the flag engine on both parities.
+    """(-1)^n, checked once against `engine="flag"` on both parities.
 
     Flipping the orientation of every edge difference in the fixed-point
     denominator costs one sign per edge; the descent sum absorbs everything
@@ -203,8 +204,8 @@ def _global_sign(matroid: Matroid) -> int:
     if not _SIGN_CHECKED:
         for rank, size, d, v in [(2, 3, (0, 0, 1), (2,)), (2, 4, (0, 0, 0, 1), (3,))]:
             m = build_uniform(rank, size)
-            want = gamma_product_degree(m, v)
-            got = (-1) ** m.n * _raw_descent_sum(m, d)
+            want = gamma_product_degree(m, v, engine="flag")
+            got = (-1) ** m.n * _raw_descent_sum(_perm_classes(m), d)
             if got != want:
                 raise InternalError(
                     f"sign law check failed on U_{{{rank},{size}}}: {got} != {want}"
@@ -226,15 +227,15 @@ def lambda_monomial_degree(matroid: Matroid, d) -> int:
         raise ExponentMismatch(
             f"exponents must sum to {matroid.r}, got {sum(ds)}"
         )
-    return _global_sign(matroid) * _raw_descent_sum(matroid, ds)
+    return _global_sign(matroid) * _raw_descent_sum(_perm_classes(matroid), ds)
 
 
 def gamma_degree_via_localization(matroid: Matroid, c) -> int:
     """Degree of gamma_1^c_1 ... gamma_n^c_n through the descent formula.
 
     Each gamma_k splits as lambda_k + ... + lambda_n; the product expands
-    into lambda-exponent vectors, evaluated per class of permutations with
-    the same jump and descent sets.
+    into lambda-exponent vectors, each evaluated by one lookup per jump set
+    in the grouped table of permutation classes.
     """
     cs = tuple(c)
     n, r = matroid.n, matroid.r
@@ -264,14 +265,9 @@ def gamma_degree_via_localization(matroid: Matroid, c) -> int:
                 nxt[key] = nxt.get(key, 0) + cnt * ways
         expansions = nxt
     classes = _perm_classes(matroid)
-    total = 0
-    for d, cnt in expansions.items():
-        part = 0
-        for (k_set, des_set), signed in classes.items():
-            if descent_target(d, k_set).indices == des_set:
-                part += signed
-        total += cnt * part
-    return sign * total
+    return sign * sum(
+        cnt * _raw_descent_sum(classes, d) for d, cnt in expansions.items()
+    )
 
 
 # ---------------------------------------------------------------------------

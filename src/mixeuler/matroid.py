@@ -334,23 +334,25 @@ class Matroid:
         return self.minor_interval(flat, self.full_mask)
 
     def delete_element(self, i: int):
-        """Single-element deletion. Rank drops exactly when i is a coloop."""
+        """Single-element deletion. Rank drops exactly when i is a coloop.
+
+        The flats of M minus i are the sets F - i over the flats F of M;
+        F - i keeps the rank of F unless it is a smaller flat of M itself.
+        """
         if not 0 <= i < self.m:
             raise RankOutOfRange(f"element {i} out of range")
         if self.m == 1:
             raise EmptyInput("cannot delete the last element")
         elements = tuple(e for e in range(self.m) if e != i)
         dropped = self.is_coloop(i)
-
-        def child_rank(child_mask):
-            parent = 0
-            for j in bits_of(child_mask):
-                parent |= 1 << elements[j]
-            return self.rank(parent)
-
-        child = _from_rank_oracle(
-            len(elements), child_rank, provenance="deletion"
-        )
+        below = (1 << i) - 1
+        levels = [set() for _ in range(self.rank_total + 1 - dropped)]
+        for k, level in enumerate(self.flats_by_rank):
+            for f in level:
+                g = f & ~(1 << i)
+                relabeled = (g & below) | ((g >> (i + 1)) << i)
+                levels[self._rank_of_flat.get(g, k)].add(relabeled)
+        child = Matroid(len(elements), len(levels) - 1, levels, provenance="deletion")
         return child, MinorMap(elements, rank_dropped=dropped)
 
     def truncate(self, s: int):

@@ -148,6 +148,46 @@ def test_lambda_monomials_match_gamma_differences():
             assert lambda_monomial_degree(m, tuple(d)) == lambda_oracle(m, tuple(d))
 
 
+def per_permutation_degree(m, evals, d):
+    # the descent rule summed over every permutation, with no class table
+    total = 0
+    for pe in evals:
+        c = [x + (i not in pe.k_set) for i, x in enumerate(d)]
+        total += descent_rule_value(pe.w, c)
+    return (-1) ** m.n * total
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_boolean(4),
+        lambda: build_uniform(3, 5),
+        lambda: build_sparse_paving(3, 6, [(0, 1, 2), (3, 4, 5)]),
+        lambda: build_fano(),
+    ],
+)
+def test_lambda_monomials_match_per_permutation_sum(build):
+    m = build()
+    evals = [perm_flag_and_basis(m, w) for w in itertools.permutations(range(m.m))]
+    for support in itertools.combinations_with_replacement(range(m.m), m.r):
+        d = tuple(support.count(i) for i in range(m.m))
+        assert lambda_monomial_degree(m, d) == per_permutation_degree(m, evals, d), d
+
+
+def seeded_sparse_paving(m, rank, seed):
+    # greedy circuit-hyperplanes from a seeded shuffle of the rank-subsets
+    rng = random.Random(seed)
+    candidates = list(itertools.combinations(range(m), rank))
+    rng.shuffle(candidates)
+    chosen = []
+    for c in candidates:
+        if all(len(set(c) & set(h)) <= rank - 2 for h in chosen):
+            chosen.append(c)
+        if len(chosen) == 3:
+            break
+    return build_sparse_paving(rank, m, chosen)
+
+
 # ---------------------------------------------------------------------------
 # gamma degrees through the permutation pass
 
@@ -182,6 +222,7 @@ def test_ground_set_guard():
         lambda: build_boolean(5),
         lambda: build_sparse_paving(3, 6, [(0, 1, 2), (3, 4, 5)]),
         lambda: build_fano(),
+        lambda: seeded_sparse_paving(8, 4, 20240901),
     ],
 )
 def test_all_compositions_match_oracle(build):

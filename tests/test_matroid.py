@@ -1,5 +1,8 @@
 """Construction, rank/closure walks, minors, and input validation."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from mixeuler import (
@@ -25,6 +28,7 @@ from mixeuler.errors import (
     RankOutOfRange,
     SizeViolation,
 )
+from mixeuler.matroid import _from_rank_oracle
 
 FANO_LINES = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5), (2, 3, 6), (1, 4, 6), (0, 5, 6)]
 
@@ -166,6 +170,18 @@ def test_minor_rank_collapse():
         u.minor_interval(mask_of([0]), mask_of([0]))
 
 
+def seeded_sparse_paving(m, rank, seed):
+    # greedy circuit-hyperplanes from a seeded shuffle of the rank-subsets
+    rng = random.Random(seed)
+    candidates = list(combinations(range(m), rank))
+    rng.shuffle(candidates)
+    chosen = []
+    for c in candidates:
+        if all(len(set(c) & set(h)) <= rank - 2 for h in chosen):
+            chosen.append(c)
+    return build_sparse_paving(rank, m, chosen)
+
+
 def test_delete_element():
     f = build_projective_geometry(2, 2)
     d, dmap = f.delete_element(6)
@@ -175,6 +191,26 @@ def test_delete_element():
     d2, dmap2 = u.delete_element(0)
     assert d2.m == 1 and d2.rank_total == 1
     assert dmap2.rank_dropped
+    cases = [
+        (f, False),
+        (build_boolean(4), True),  # every element is a coloop
+        (build_uniform(3, 6), False),
+        (seeded_sparse_paving(7, 3, 20240902), False),
+    ]
+    for m, coloops in cases:
+        for e in range(m.m):
+            child, cmap = m.delete_element(e)
+            kept = tuple(x for x in range(m.m) if x != e)
+            assert cmap.parent_elements == kept
+            want = {cmap.to_child(g) for level in m.flats_by_rank for g in level}
+            assert {g for level in child.flats_by_rank for g in level} == want
+            assert cmap.rank_dropped is coloops
+            assert child.rank_total == m.rank_total - coloops
+            # the rank-oracle construction on the parent's rank is the reference
+            ref = _from_rank_oracle(
+                len(kept), lambda mask: m.rank(cmap.to_parent(mask)), "deletion"
+            )
+            assert child.flats_by_rank == ref.flats_by_rank, (m, e)
 
 
 def test_truncation():
