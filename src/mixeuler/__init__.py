@@ -30,6 +30,7 @@ from .expansion import (
     CONVENTIONS,
     LogConcavityResult,
     WeightedFlagSum,
+    check_composition,
     composition_to_indices,
     compositions,
     count_initial_descending_flags,

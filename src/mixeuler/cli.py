@@ -18,20 +18,20 @@ import csv
 import json
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .errors import (
-    CompositionMismatch,
     InputError,
     InternalError,
     NotPMD,
     ParseError,
     PreconditionViolation,
-    VOutOfRange,
 )
 from .expansion import (
+    check_composition,
     composition_to_indices,
     compositions,
     count_initial_descending_flags,
@@ -41,7 +41,7 @@ from .expansion import (
     log_concavity_check,
     pvol,
 )
-from .localization import gamma_degree_via_localization
+from .localization import MAX_GROUND_SET, gamma_degree_via_localization
 from .matroid import (
     Matroid,
     build_boolean,
@@ -65,9 +65,6 @@ from .trees import aggregate_by_flag, enumerate_trees
 from .tutte import characteristic_data, tutte_polynomial
 
 __all__ = ["MatroidSpec", "parse_matroid_spec", "run", "main"]
-
-PIPELINES = ("flag", "eulerian", "delcon", "localization", "lopsided", "convolution")
-
 
 @dataclass(frozen=True)
 class MatroidSpec:
@@ -179,68 +176,8 @@ def _value_text(value) -> str:
     return str(value)
 
 
-def _render_terms(pairs) -> str:
-    """Human-readable signed sum from (monomial string, coefficient) pairs."""
-    parts = []
-    for mono, coef in pairs:
-        if not coef:
-            continue
-        mag = abs(coef)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        parts.append((coef < 0, body))
-    if not parts:
-        return "0"
-    neg, body = parts[0]
-    out = ("-" if neg else "") + body
-    for neg, body in parts[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
-
-
-def _power(var: str, k: int) -> str:
-    if k == 0:
-        return ""
-    if k == 1:
-        return var
-    return f"{var}^{k}"
-
-
-def _render_unipoly(p: UniPoly, var: str) -> str:
-    pairs = [
-        (_power(var, k), p.coeffs[k]) for k in range(len(p.coeffs) - 1, -1, -1)
-    ]
-    return _render_terms(pairs)
-
-
-def _render_polyxy(p) -> str:
-    keys = sorted(p.coeffs, key=lambda k: (-(k[0] + k[1]), -k[0]))
-    pairs = []
-    for i, j in keys:
-        mono = "*".join(t for t in (_power("x", i), _power("y", j)) if t)
-        pairs.append((mono, p.coeffs[(i, j)]))
-    return _render_terms(pairs)
-
-
 def _render_flag(flag) -> str:
     return ";".join(_join(set_of(mask)) for mask in flag)
-
-
-def _contiguous_sorted_vectors(matroid: Matroid):
-    """All sorted index vectors of full length whose support is an interval."""
-    out = []
-    for comp in compositions(matroid.r, matroid.n):
-        support = [i + 1 for i, x in enumerate(comp) if x]
-        if not support:
-            continue
-        if support != list(range(support[0], support[-1] + 1)):
-            continue
-        out.append(composition_to_indices(comp))
-    return out
 
 
 # -- degree pipelines --------------------------------------------------------
@@ -269,27 +206,62 @@ def _lopsided_exponents(matroid: Matroid, vs) -> tuple:
     return tuple(exps)
 
 
-def _degree_by_pipeline(
-    matroid: Matroid, vs, pipeline: str, convention: str
-) -> int:
-    if pipeline == "flag":
-        return gamma_product_degree(matroid, vs, convention)
-    svs = tuple(sorted(vs))
-    if pipeline == "eulerian":
-        return eulerian_recursion_degree(
-            matroid, svs, _first_repeat_position(svs), convention
-        )
-    if pipeline == "delcon":
-        return deletion_contraction_degree(matroid, svs, 0, 0, convention)
-    if pipeline == "localization":
-        return gamma_degree_via_localization(
-            matroid, indices_to_composition(vs, matroid.n)
-        )
-    if pipeline == "lopsided":
-        return lopsided_degree(matroid, _lopsided_exponents(matroid, vs))
-    if pipeline == "convolution":
-        return cv_via_tutte_convolution(matroid, svs, convention)
-    raise ParseError(f"unknown pipeline {pipeline!r}")
+def _contiguous(matroid: Matroid, vs) -> bool:
+    return bool(vs) and classify_support(matroid, vs).contiguous
+
+
+@dataclass(frozen=True)
+class _Pipeline:
+    """A degree pipeline and the domain the pipelines suite checks it on.
+
+    run(matroid, sorted vs, convention) raises an InputError outside the
+    pipeline's domain. The suite row `check` compares it, run in
+    `convention`, with flag under oi on every composition where
+    applies(matroid, vs) holds; lopsided has no row, the pmd suite checks it.
+    """
+
+    run: Callable[[Matroid, tuple, str], int]
+    check: str = ""
+    applies: Callable[[Matroid, tuple], bool] | None = None
+    convention: str = "oi"
+
+
+PIPELINES = {
+    "flag": _Pipeline(
+        lambda m, vs, conv: gamma_product_degree(m, vs, conv),
+        "flag_oi_equals_mult",
+        lambda m, vs: True,
+        "mult",
+    ),
+    "eulerian": _Pipeline(
+        lambda m, vs, conv: eulerian_recursion_degree(
+            m, vs, _first_repeat_position(vs), conv
+        ),
+        "repeat_entry_agrees",
+        lambda m, vs: len(set(vs)) < len(vs)
+        and classify_support(m, vs).flatly_contiguous,
+    ),
+    "delcon": _Pipeline(
+        lambda m, vs, conv: deletion_contraction_degree(m, vs, 0, 0, conv),
+        "deletion_contraction_agrees",
+        lambda m, vs: m.rank_total >= 3 and _contiguous(m, vs),
+    ),
+    "localization": _Pipeline(
+        lambda m, vs, conv: gamma_degree_via_localization(
+            m, indices_to_composition(vs, m.n)
+        ),
+        "localization_agrees",
+        lambda m, vs: m.m <= MAX_GROUND_SET,
+    ),
+    "lopsided": _Pipeline(
+        lambda m, vs, conv: lopsided_degree(m, _lopsided_exponents(m, vs))
+    ),
+    "convolution": _Pipeline(
+        lambda m, vs, conv: cv_via_tutte_convolution(m, vs, conv),
+        "convolution_agrees",
+        _contiguous,
+    ),
+}
 
 
 # -- subcommand handlers: (args) -> (records, text, exit_code) ---------------
@@ -302,25 +274,13 @@ def _cmd_degree(args):
         raise ParseError("exactly one of --c or --v is required")
     if args.c is not None:
         cs = _parse_int_list(args.c, "--c")
-        if len(cs) != matroid.n:
-            raise CompositionMismatch(
-                f"--c has {len(cs)} parts, ground set needs {matroid.n}"
-            )
-        if any(x < 0 for x in cs):
-            raise CompositionMismatch("--c entries must be nonnegative")
-        if sum(cs) != matroid.r:
-            raise CompositionMismatch(
-                f"--c sums to {sum(cs)}, top degree is {matroid.r}"
-            )
         vs = composition_to_indices(cs)
     else:
         vs = _parse_int_list(args.v, "--v")
-        for val in vs:
-            if not 1 <= val <= matroid.n:
-                raise VOutOfRange(f"--v index {val} outside 1..{matroid.n}")
         cs = indices_to_composition(vs, matroid.n)
+    check_composition(cs, matroid.n, matroid.r)
     start = time.perf_counter()
-    value = _degree_by_pipeline(matroid, vs, args.pipeline, args.convention)
+    value = PIPELINES[args.pipeline].run(matroid, tuple(sorted(vs)), args.convention)
     record = {
         "matroid": spec.text,
         "c": _join(cs),
@@ -365,7 +325,7 @@ def _cmd_tutte(args):
     matroid = spec.build()
     start = time.perf_counter()
     poly = tutte_polynomial(matroid)
-    rendered = _render_polyxy(poly)
+    rendered = poly.format()
     record = {
         "matroid": spec.text,
         "c": "-",
@@ -398,10 +358,10 @@ def _cmd_charpoly(args):
         }
 
     records = [
-        rec("chi", _render_unipoly(data.chi, "t"), [str(c) for c in data.chi.coeffs]),
+        rec("chi", data.chi.format("t"), [str(c) for c in data.chi.coeffs]),
         rec(
             "chi_reduced",
-            _render_unipoly(data.chi_reduced, "t"),
+            data.chi_reduced.format("t"),
             [str(c) for c in data.chi_reduced.coeffs],
         ),
         rec("mu", _join(data.mu), [str(c) for c in data.mu]),
@@ -420,7 +380,7 @@ def _cmd_cvpoly(args):
     vs = tuple(sorted(_parse_int_list(args.v, "--v")))
     start = time.perf_counter()
     poly = cv_polynomial(matroid, vs)
-    rendered = _render_unipoly(poly, "y")
+    rendered = poly.format("y")
     record = {
         "matroid": spec.text,
         "c": _join(indices_to_composition(vs, matroid.n)),
@@ -579,7 +539,11 @@ def _suite_tutte(matroid: Matroid):
         )
     )
     factorization = _Tally("contiguous_factorization")
-    vectors = _contiguous_sorted_vectors(matroid)
+    vectors = [
+        vs
+        for vs in map(composition_to_indices, compositions(r, matroid.n))
+        if _contiguous(matroid, vs)
+    ]
     for vs in vectors:
         if vs[0] != 1:
             continue
@@ -599,42 +563,15 @@ def _suite_tutte(matroid: Matroid):
 
 
 def _suite_pipelines(matroid: Matroid):
-    conventions = _Tally("flag_oi_equals_mult")
-    localized = _Tally("localization_agrees")
-    eulerian = _Tally("repeat_entry_agrees")
-    delcon = _Tally("deletion_contraction_agrees")
-    convolution = _Tally("convolution_agrees")
-    small = matroid.m <= 8
+    checked = [(p, _Tally(p.check)) for p in PIPELINES.values() if p.check]
     for cs in compositions(matroid.r, matroid.n):
         vs = composition_to_indices(cs)
         want = gamma_product_degree(matroid, vs, "oi")
-        conventions.add(
-            gamma_product_degree(matroid, vs, "mult") == want, (cs, want)
-        )
-        if small:
-            localized.add(
-                gamma_degree_via_localization(matroid, cs) == want, (cs, want)
-            )
-        if not vs:
-            continue
-        support = classify_support(matroid, vs)
-        if support.flatly_contiguous and any(vs.count(x) >= 2 for x in vs):
-            got = eulerian_recursion_degree(
-                matroid, vs, _first_repeat_position(vs), "oi"
-            )
-            eulerian.add(got == want, (cs, got, want))
-        if support.contiguous:
-            if matroid.rank_total >= 3:
-                got = deletion_contraction_degree(matroid, vs, 0, 0, "oi")
-                delcon.add(got == want, (cs, got, want))
-            convolution.add(
-                cv_via_tutte_convolution(matroid, vs) == want, (cs, want)
-            )
-    rows = [conventions.row()]
-    if small:
-        rows.append(localized.row())
-    rows.extend([eulerian.row(), delcon.row(), convolution.row()])
-    return [row for row in rows if not row[2].startswith("0 cases")]
+        for pipeline, tally in checked:
+            if pipeline.applies(matroid, vs):
+                got = pipeline.run(matroid, vs, pipeline.convention)
+                tally.add(got == want, (cs, got, want))
+    return [tally.row() for _, tally in checked if tally.count]
 
 
 def _suite_trees(matroid: Matroid):

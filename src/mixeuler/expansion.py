@@ -60,6 +60,7 @@ __all__ = [
     "weight_scale",
     "insertion_weight",
     "compositions",
+    "check_composition",
     "composition_to_indices",
     "indices_to_composition",
     "WeightedFlagSum",
@@ -130,6 +131,18 @@ def compositions(total: int, parts: int):
             prev = b
         out.append(total + parts - 2 - prev)
         yield tuple(out)
+
+
+def check_composition(c, parts: int, total: int) -> tuple:
+    """c as a tuple; CompositionMismatch unless it is a weak composition of total."""
+    cs = tuple(c)
+    if len(cs) != parts:
+        raise CompositionMismatch(f"composition has {len(cs)} parts, need {parts}")
+    if any(x < 0 for x in cs):
+        raise CompositionMismatch("composition entries must be nonnegative")
+    if sum(cs) != total:
+        raise CompositionMismatch(f"composition sums to {sum(cs)}, need {total}")
+    return cs
 
 
 def composition_to_indices(c) -> tuple:
@@ -392,17 +405,7 @@ def mixed_eulerian_degree(
     matroid: Matroid, c, convention: str = "oi", engine: str = "auto"
 ) -> int:
     """A_c(M) for a composition c = (c_1..c_n) of r."""
-    cs = tuple(c)
-    if len(cs) != matroid.n:
-        raise CompositionMismatch(
-            f"composition has {len(cs)} parts, ground set needs {matroid.n}"
-        )
-    if any(x < 0 for x in cs):
-        raise CompositionMismatch("composition entries must be nonnegative")
-    if sum(cs) != matroid.r:
-        raise CompositionMismatch(
-            f"composition sums to {sum(cs)}, top degree is {matroid.r}"
-        )
+    cs = check_composition(c, matroid.n, matroid.r)
     return gamma_product_degree(
         matroid, composition_to_indices(cs), convention, engine
     )
@@ -467,12 +470,8 @@ def log_concavity_check(
     matroid: Matroid, c, i: int, j: int, convention: str = "oi"
 ) -> LogConcavityResult:
     """Compare A_{c+e_i+e_j}^2 against A_{c+2e_i} * A_{c+2e_j}."""
-    cs = list(c)
     n = matroid.n
-    if len(cs) != n:
-        raise CompositionMismatch(f"composition has {len(cs)} parts, need {n}")
-    if sum(cs) != matroid.r - 2:
-        raise CompositionMismatch("composition must sum to r-2")
+    cs = check_composition(c, n, matroid.r - 2)
     if not (1 <= i <= n and 1 <= j <= n):
         raise VOutOfRange("class indices outside 1..n")
 

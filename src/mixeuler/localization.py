@@ -33,13 +33,12 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from .errors import (
-    CompositionMismatch,
     ExponentMismatch,
     InternalError,
     PreconditionViolation,
     SizeViolation,
 )
-from .expansion import gamma_product_degree
+from .expansion import check_composition, gamma_product_degree
 from .matroid import Matroid, build_uniform
 
 __all__ = [
@@ -237,14 +236,8 @@ def gamma_degree_via_localization(matroid: Matroid, c) -> int:
     into lambda-exponent vectors, each evaluated by one lookup per jump set
     in the grouped table of permutation classes.
     """
-    cs = tuple(c)
-    n, r = matroid.n, matroid.r
-    if len(cs) != n:
-        raise CompositionMismatch(f"need {n} entries, got {len(cs)}")
-    if any(x < 0 for x in cs):
-        raise CompositionMismatch("entries must be nonnegative")
-    if sum(cs) != r:
-        raise CompositionMismatch(f"entries must sum to {r}, got {sum(cs)}")
+    n = matroid.n
+    cs = check_composition(c, n, matroid.r)
     sign = _global_sign(matroid)
     # multiset expansion of prod_k (lambda_k + ... + lambda_n)^(c_k), each
     # multiset weighted by its multinomial coefficient

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    CompositionMismatch,
     InternalError,
     NotLopsided,
     NotPMD,
@@ -25,7 +24,7 @@ from .errors import (
     RankOutOfRange,
     SingularSystem,
 )
-from .expansion import gamma_product_degree
+from .expansion import check_composition, compositions, gamma_product_degree
 from .matroid import Matroid, build_projective_geometry, set_of
 
 __all__ = [
@@ -89,17 +88,6 @@ def pmd_profile(matroid: Matroid) -> PmdProfile:
     return PmdProfile(tuple(sizes), tuple(counts), scale)
 
 
-def _check_exponents(r: int, c) -> tuple:
-    cs = tuple(c)
-    if len(cs) != r:
-        raise CompositionMismatch(f"need {r} exponents, got {len(cs)}")
-    if any(x < 0 for x in cs):
-        raise CompositionMismatch("exponents must be nonnegative")
-    if sum(cs) != r:
-        raise CompositionMismatch(f"exponents sum to {sum(cs)}, need {r}")
-    return cs
-
-
 def lopsided_degree(matroid: Matroid, c) -> int:
     """Closed-form degree of gamma_{n_1}^{c_1} ... gamma_{n_r}^{c_r}.
 
@@ -107,7 +95,7 @@ def lopsided_degree(matroid: Matroid, c) -> int:
     then V_M times the product of the n_i^{c_i}.
     """
     profile = pmd_profile(matroid)
-    cs = _check_exponents(matroid.r, c)
+    cs = check_composition(c, matroid.r, matroid.r)
     prefix = 0
     for j, x in enumerate(cs, start=1):
         prefix += x
@@ -119,19 +107,6 @@ def lopsided_degree(matroid: Matroid, c) -> int:
     if value.denominator != 1:
         raise InternalError(f"lopsided degree {value} is not an integer")
     return int(value)
-
-
-def _weak_compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _q_factorial(r: int, q: Fraction) -> Fraction:
@@ -190,7 +165,7 @@ _REMIXED_CACHE: dict = {}
 
 
 def _remixed_table(r: int, q: Fraction) -> dict:
-    members = list(_weak_compositions(r, r))
+    members = list(compositions(r, r))
     index = {c: i for i, c in enumerate(members)}
     rows = []
     rows.append(({index[(1,) * r]: Fraction(1)}, _q_factorial(r, q)))
@@ -231,7 +206,7 @@ def remixed_eulerian_eval(r: int, c, q) -> Fraction:
     qf = Fraction(q)
     if qf <= 0:
         raise PreconditionViolation("q must be positive")
-    cs = _check_exponents(r, c)
+    cs = check_composition(c, r, r)
     key = (r, qf)
     table = _REMIXED_CACHE.get(key)
     if table is None:
@@ -251,7 +226,7 @@ def pmd_recurrence_check(matroid: Matroid, c, i: int) -> bool:
     """
     profile = pmd_profile(matroid)
     r = matroid.r
-    cs = _check_exponents(r, c)
+    cs = check_composition(c, r, r)
     if not 1 <= i <= r:
         raise PreconditionViolation(f"slot {i} out of range 1..{r}")
     if cs[i - 1] < 2:
@@ -282,7 +257,7 @@ def pg_identity_check(r: int, q: int, c):
     number A_c(q). Returns (degree, prediction, equal).
     """
     geometry = build_projective_geometry(r, q)
-    cs = _check_exponents(r, c)
+    cs = check_composition(c, r, r)
     profile = pmd_profile(geometry)
     v = []
     for size, exp in zip(profile.n_seq, cs):

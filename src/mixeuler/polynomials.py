@@ -3,7 +3,7 @@
 Just enough for Tutte and characteristic polynomials: a dense univariate
 type and a sparse bivariate type, both immutable, with integer coefficients
 throughout. Exact division is the only nontrivial operation and it refuses
-to be lossy.
+to be lossy. `format` gives the text the command line prints.
 """
 
 from __future__ import annotations
@@ -18,6 +18,25 @@ def _trim(coeffs):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
+
+
+def _power(var: str, k: int) -> str:
+    return "" if k == 0 else var if k == 1 else f"{var}^{k}"
+
+
+def _render(terms) -> str:
+    """Signed sum like "x^2 - 3*x*y + 1" from (monomial, coefficient) pairs."""
+    out = ""
+    for mono, coef in terms:
+        if not coef:
+            continue
+        mag = abs(coef)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if out:
+            out += (" - " if coef < 0 else " + ") + body
+        else:
+            out = ("-" if coef < 0 else "") + body
+    return out or "0"
 
 
 class UniPoly:
@@ -131,22 +150,9 @@ class UniPoly:
         return UniPoly(out)
 
     def format(self, var: str = "y") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else str(mag)
-                body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
-            parts.append(sign + body)
-        return "".join(parts)
+        """Leading term first, e.g. "6*y^2 + 24*y + 60"."""
+        terms = [(_power(var, k), c) for k, c in enumerate(self.coeffs)]
+        return _render(reversed(terms))
 
     def __repr__(self):
         return f"UniPoly({self.format()})"
@@ -241,22 +247,12 @@ class PolyXY:
         return UniPoly(tuple(out.get(i, 0) for i in range(size)))
 
     def format(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.coeffs, key=lambda k: (-(k[0] + k[1]), -k[0])):
-            c = self.coeffs[(a, b)]
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            factors = []
-            if a:
-                factors.append("x" if a == 1 else f"x^{a}")
-            if b:
-                factors.append("y" if b == 1 else f"y^{b}")
-            if not factors or mag != 1:
-                factors.insert(0, str(mag))
-            parts.append(sign + "*".join(factors))
-        return "".join(parts)
+        """Highest total degree first, higher x-degree first within it."""
+        terms = []
+        for a, b in sorted(self.coeffs, key=lambda k: (-(k[0] + k[1]), -k[0])):
+            mono = "*".join(t for t in (_power("x", a), _power("y", b)) if t)
+            terms.append((mono, self.coeffs[a, b]))
+        return _render(terms)
 
     def __repr__(self):
         return f"PolyXY({self.format()})"

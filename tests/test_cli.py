@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,20 @@ class TestDegree:
             pipeline,
         )
         assert (code, out) == (0, expect + "\n")
+
+    @pytest.mark.parametrize("pipeline", list(cli.PIPELINES))
+    @pytest.mark.parametrize("vs", ["1", "1,2,3"])
+    def test_v_of_wrong_length_exits_one(self, capsys, pipeline, vs):
+        code, out, err = run_cli(
+            capsys, "degree", "--matroid", "pg:2,2", "--v", vs, "--pipeline", pipeline
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
+    def test_pipelines_match_readme_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("| pipeline ", 1)[1].split("\n\n", 1)[0]
+        assert list(cli.PIPELINES) == re.findall(r"^\| `(\w+)`", table, re.M)
 
     def test_conventions_match(self, capsys):
         args = ["degree", "--matroid", "uniform:4,6", "--v", "2,2,3"]
@@ -294,6 +310,29 @@ class TestCheck:
         )
         assert code == 0
         assert "localization_agrees" in out
+
+    @pytest.mark.parametrize(
+        "spec,counts",
+        [
+            ("pg:2,2", (21, 21, 6, 11, 11)),
+            ("sparse:3,6;012", (15, 15, 5, 9, 9)),
+            ("uniform:3,9", (36, None, 8, 15, 15)),  # too large for localization
+        ],
+    )
+    def test_pipelines_suite_rows(self, capsys, spec, counts):
+        code, out, _ = run_cli(
+            capsys, "check", "--suite", "pipelines", "--matroid", spec, "--format", "json"
+        )
+        assert code == 0
+        names = (
+            "flag_oi_equals_mult",
+            "localization_agrees",
+            "repeat_entry_agrees",
+            "deletion_contraction_agrees",
+            "convolution_agrees",
+        )
+        want = {name: f"{n} cases" for name, n in zip(names, counts) if n}
+        assert {rec["c"]: rec["detail"] for rec in json.loads(out)} == want
 
     def test_pmd_suite_requires_size_perfect(self, capsys):
         code, _, err = run_cli(

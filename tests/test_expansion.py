@@ -15,6 +15,7 @@ from mixeuler import (
 )
 from mixeuler.errors import CompositionMismatch, VOutOfRange
 from mixeuler.expansion import (
+    check_composition,
     composition_to_indices,
     compositions,
     count_initial_descending_flags,
@@ -313,9 +314,20 @@ def test_log_concavity_small():
                 assert res.holds, (M.provenance, i, j, res)
 
 
+def test_check_composition():
+    assert check_composition([1, 0, 2], 3, 3) == (1, 0, 2)
+    assert check_composition((), 0, 0) == ()
+    for bad in ((1, 2), (1, 0, 1, 1), (4, -1, 0), (1, 0, 1)):
+        with pytest.raises(CompositionMismatch):
+            check_composition(bad, 3, 3)
+
+
 def test_log_concavity_validates():
     M = build_uniform(3, 5)
     with pytest.raises(CompositionMismatch):
         log_concavity_check(M, [1, 0, 0, 0], 1, 2)
+    # sums to r - 2 but holds a negative entry
+    with pytest.raises(CompositionMismatch):
+        log_concavity_check(build_uniform(4, 6), (-1, 2, 0, 0, 0), 1, 1)
     with pytest.raises(VOutOfRange):
         log_concavity_check(M, [0, 0, 0, 0], 0, 2)

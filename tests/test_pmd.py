@@ -14,7 +14,7 @@ from mixeuler.errors import (
     PreconditionViolation,
     RankOutOfRange,
 )
-from mixeuler.expansion import gamma_product_degree, mixed_eulerian_degree
+from mixeuler.expansion import compositions, gamma_product_degree, mixed_eulerian_degree
 from mixeuler.matroid import (
     build_boolean,
     build_from_bases,
@@ -24,7 +24,6 @@ from mixeuler.matroid import (
 )
 from mixeuler.pmd import (
     PmdProfile,
-    _weak_compositions,
     lopsided_degree,
     pg_identity_check,
     pmd_profile,
@@ -158,7 +157,7 @@ class TestLopsided:
         matroid = catalog()[name]
         profile = pmd_profile(matroid)
         r = matroid.r
-        for c in _weak_compositions(r, r):
+        for c in compositions(r, r):
             if not is_lopsided(c):
                 continue
             assert lopsided_degree(matroid, c) == bridged_degree(
@@ -186,7 +185,7 @@ class TestRemixed:
     def test_exchange_residuals_vanish(self, r, q):
         qf = Fraction(q)
         table = {
-            c: remixed_eulerian_eval(r, c, q) for c in _weak_compositions(r, r)
+            c: remixed_eulerian_eval(r, c, q) for c in compositions(r, r)
         }
         relations = 0
         for c, value in table.items():
@@ -212,13 +211,13 @@ class TestRemixed:
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_q_one_gives_boolean_degrees(self, r):
         boolean = build_boolean(r + 1)
-        for c in _weak_compositions(r, r):
+        for c in compositions(r, r):
             assert remixed_eulerian_eval(r, c, 1) == mixed_eulerian_degree(
                 boolean, c
             ), c
 
     def test_values_are_positive(self):
-        for c in _weak_compositions(4, 4):
+        for c in compositions(4, 4):
             assert remixed_eulerian_eval(4, c, Fraction(1, 2)) > 0
 
     def test_validation(self):
@@ -242,7 +241,7 @@ class TestProjectiveIdentity:
 
     @pytest.mark.parametrize("r,q", [(2, 2), (2, 3), (3, 2)])
     def test_holds_across_all_exponents(self, r, q):
-        for c in _weak_compositions(r, r):
+        for c in compositions(r, r):
             lhs, rhs, ok = pg_identity_check(r, q, c)
             assert ok and lhs == rhs, (c, lhs, rhs)
 
@@ -280,7 +279,7 @@ class TestExchangeRelation:
     def test_holds_everywhere(self, name):
         matroid = catalog()[name]
         r = matroid.r
-        for c in _weak_compositions(r, r):
+        for c in compositions(r, r):
             for i in range(1, r + 1):
                 if c[i - 1] >= 2:
                     assert pmd_recurrence_check(matroid, c, i), (c, i)

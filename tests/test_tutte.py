@@ -150,6 +150,50 @@ def test_divide_exact_refuses_remainder():
         (lam**2 + 1).divide_exact(lam - 1)
 
 
+@pytest.mark.parametrize(
+    "coeffs,var,text",
+    [
+        ((), "y", "0"),
+        ((0, 0), "t", "0"),
+        ((5,), "y", "5"),
+        ((-1,), "t", "-1"),
+        ((0, 1), "y", "y"),
+        ((0, -1), "t", "-t"),
+        ((1, -1, 1), "t", "t^2 - t + 1"),
+        ((60, 24, 6), "y", "6*y^2 + 24*y + 60"),
+        ((-8, 14, -7, 1), "t", "t^3 - 7*t^2 + 14*t - 8"),
+        ((3, 0, -2), "t", "-2*t^2 + 3"),
+        ((0, 0, -1), "y", "-y^2"),
+    ],
+)
+def test_unipoly_format(coeffs, var, text):
+    assert UniPoly(coeffs).format(var) == text
+
+
+@pytest.mark.parametrize(
+    "coeffs,text",
+    [
+        ({}, "0"),
+        ({(0, 0): 0}, "0"),
+        ({(0, 0): 7}, "7"),
+        ({(0, 0): -1}, "-1"),
+        ({(1, 1): 1}, "x*y"),
+        ({(1, 1): -1}, "-x*y"),
+        ({(2, 3): 4}, "4*x^2*y^3"),
+        ({(2, 0): 1, (1, 1): -3, (0, 0): 1}, "x^2 - 3*x*y + 1"),
+        ({(0, 2): 1, (1, 1): 2, (2, 0): 1}, "x^2 + 2*x*y + y^2"),
+        ({(0, 2): -1, (1, 0): 2, (0, 1): -1}, "-y^2 + 2*x - y"),
+    ],
+)
+def test_polyxy_format(coeffs, text):
+    assert PolyXY(coeffs).format() == text
+
+
+def test_repr_uses_format():
+    assert repr(UniPoly((60, 24, 6))) == "UniPoly(6*y^2 + 24*y + 60)"
+    assert repr(tutte_polynomial(build_uniform(2, 4))) == "PolyXY(x^2 + y^2 + 2*x + 2*y)"
+
+
 # ---------------------------------------------------------------------------
 # degree identities
 
