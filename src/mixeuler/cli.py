@@ -148,6 +148,8 @@ def parse_matroid_spec(s: str) -> MatroidSpec:
 
 
 def _parse_int_list(value: str, flag: str) -> tuple:
+    if not value.strip():
+        return ()  # the empty composition, which fits only when n = 0
     out = []
     for part in value.split(","):
         part = part.strip()

@@ -34,7 +34,7 @@ Engines:
   memoised on (lo, hi, vs) for the length of one call. It walks the flats,
   except on matroids whose proper flats are exactly the small subsets
   (uniform matroids): there it walks flat sizes, weighting each size by the
-  total weight of its flats ("sizes", which refuses other matroids).
+  total weight of its flats.
 * "flag", the term-by-term flag expansion above. It is the reference oracle
   the DP is tested against and the backend of expand_gamma_product.
 
@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 CONVENTIONS = ("oi", "mult")
-_ENGINES = ("auto", "flag", "sizes")
+_ENGINES = ("auto", "flag")
 
 
 def oi_weight(s_mask: int, t_mask: int, u_mask: int) -> int:
@@ -315,8 +315,6 @@ def _pick_view(matroid, convention, engine, scale):
         return None
     if matroid.is_size_uniform():
         return _size_view(matroid, convention, scale)
-    if engine == "sizes":
-        raise VOutOfRange("size engine needs a structurally uniform matroid")
     return _flat_view(matroid, convention, scale)
 
 

@@ -28,6 +28,7 @@ the bare descent rule in tests.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
@@ -128,7 +129,7 @@ def descent_target(d, k_set) -> DescentTarget:
 # ---------------------------------------------------------------------------
 # signed permutation classes, grouped by jump set, then by descent set
 
-_CLASS_CACHE: dict = {}
+_CLASS_CACHE = weakref.WeakKeyDictionary()  # an entry dies with its matroid
 
 
 def _perm_classes(matroid: Matroid) -> dict:
@@ -142,8 +143,7 @@ def _perm_classes(matroid: Matroid) -> dict:
             f"permutation pass needs at most {MAX_GROUND_SET} elements, "
             f"got {matroid.m}"
         )
-    key = matroid.canonical_key()
-    hit = _CLASS_CACHE.get(key)
+    hit = _CLASS_CACHE.get(matroid)
     if hit is not None:
         return hit
     full = matroid.full_mask
@@ -173,7 +173,7 @@ def _perm_classes(matroid: Matroid) -> dict:
             )
 
     grow(0, 0, -1, 0, (), frozenset(), 0)
-    _CLASS_CACHE[key] = classes
+    _CLASS_CACHE[matroid] = classes
     return classes
 
 

@@ -1,19 +1,20 @@
 """Loopless matroids on ground sets {0, ..., n} with exact lattice queries.
 
-A matroid here is stored by its lattice of flats, enumerated once at
-construction time, with every flat held as an integer bitmask over the
-ground set. All later rank and closure queries walk the cover relation of
-that lattice (each step from a flat to the unique cover flat gaining a given
-element), so they cost a handful of dict lookups and never re-run the
-original rank oracle. Element order is the natural integer order and minors
-relabel surviving elements in that induced order; several downstream weight
-conventions depend on "largest elements" being stable under taking minors,
-which this preserves.
+A matroid is stored as the cover table of its lattice of flats, each flat an
+integer bitmask: step[f][x] is the flat covering f that gains element x.
+Levels and ranks are read off the table by walking up from the empty set,
+and rank and closure queries walk it too, never re-running a rank oracle.
+The constructors of uniform, basis, sparse paving and projective matroids
+share one upward walk that asks for one closure per cover, since the covers
+of a flat partition its complement; minors and truncations copy and relabel
+their parent's rows; build_from_flats, the one constructor of outside
+lattices, scans adjacent levels for the covers and checks them.
 
-Constructors cover uniform matroids, projective geometries over prime
-fields, sparse paving matroids given by their circuit-hyperplanes, explicit
-basis lists, and explicit flat lists. Loops are rejected everywhere: the
-degree theory downstream is only developed for loopless matroids.
+Element order is the natural integer order and minors relabel surviving
+elements in that induced order; several downstream weight conventions
+depend on "largest elements" being stable under taking minors, which this
+preserves. Loops are rejected everywhere: the degree theory downstream is
+only developed for loopless matroids.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ def set_of(mask: int) -> tuple:
     return tuple(bits_of(mask))
 
 
+def _squeeze(mask: int, gone) -> int:
+    """Drop the bits at positions `gone`, given from the top down; higher bits move down."""
+    for b in gone:
+        mask = (mask & ((1 << b) - 1)) | ((mask >> (b + 1)) << b)
+    return mask
+
+
 def largest_elements_mask(universe: int, count: int) -> int:
     """Mask of the `count` largest elements of `universe`."""
     out = 0
@@ -93,12 +101,6 @@ class MinorMap:
     parent_elements: tuple
     rank_dropped: bool = False
 
-    def to_parent(self, child_mask: int) -> int:
-        out = 0
-        for i in bits_of(child_mask):
-            out |= 1 << self.parent_elements[i]
-        return out
-
     def to_child(self, parent_mask: int) -> int:
         out = 0
         for i, e in enumerate(self.parent_elements):
@@ -108,66 +110,36 @@ class MinorMap:
 
 
 class Matroid:
-    """A loopless matroid with its flats enumerated by rank.
+    """A loopless matroid, stored as the cover table of its lattice of flats.
 
-    Use the module-level build_* constructors; the raw initializer trusts
-    its arguments apart from cheap structural checks.
+    step[f][x] is the cover of flat f that gains element x, with a row for
+    every flat (the ground set's is empty). The initializer reads the
+    levels and ranks off the table and otherwise trusts it: use the
+    module-level build_* constructors and the minor methods, which supply it.
     """
 
-    def __init__(self, m: int, rank_total: int, flats_by_rank, provenance: str = ""):
+    def __init__(self, m: int, step: dict, provenance: str = ""):
         if m < 1:
             raise EmptyInput("ground set must be nonempty")
-        if not (1 <= rank_total <= m):
-            raise RankOutOfRange(f"rank {rank_total} invalid for {m} elements")
         self.m = m
-        self.rank_total = rank_total
-        self.full_mask = (1 << m) - 1
-        levels = [tuple(sorted(level)) for level in flats_by_rank]
-        if len(levels) != rank_total + 1:
-            raise InternalError("flat levels do not match rank")
-        if levels[0] != (0,):
-            raise LoopDetected("empty set is not closed; matroid has loops")
-        if levels[-1] != (self.full_mask,):
-            raise InternalError("top flat is not the ground set")
+        self.full_mask = full = (1 << m) - 1
+        levels = [(0,)]
+        while levels[-1] != (full,):
+            level = tuple(sorted({g for f in levels[-1] for g in step[f].values()}))
+            if not level or (full in level and len(level) > 1):
+                raise InternalError("cover table is not graded")
+            levels.append(level)
+        self.rank_total = len(levels) - 1
         self.flats_by_rank = tuple(levels)
         self.provenance = provenance
-        self._rank_of_flat = {}
-        for k, level in enumerate(levels):
-            for f in level:
-                self._rank_of_flat[f] = k
-        self._cover_step = self._build_cover_steps()
+        self._rank_of_flat = {f: k for k, level in enumerate(levels) for f in level}
+        self._cover_step = step
         self._between_cache = {}
         self._closure_tab = None
-        self._key = None
         self._size_uniform = None
         self._flat_sizes = None
 
     # -- lattice plumbing ------------------------------------------------
-
-    def _build_cover_steps(self):
-        step = {}
-        for k in range(self.rank_total):
-            lower = self.flats_by_rank[k]
-            upper = self.flats_by_rank[k + 1]
-            for f in lower:
-                row = {}
-                for g in upper:
-                    if f & g == f:
-                        for x in bits_of(g & ~f):
-                            if x in row:
-                                raise NotAFlat(
-                                    f"element {x} lies in two covers of flat {set_of(f)}"
-                                )
-                            row[x] = g
-                if len(row) != self.m - f.bit_count():
-                    missing = [x for x in bits_of(self.full_mask & ~f) if x not in row]
-                    raise NotAFlat(
-                        f"covers of flat {set_of(f)} do not partition the complement"
-                        f" (no cover gains {missing[:3]})"
-                    )
-                step[f] = row
-        step[self.full_mask] = {}
-        return step
 
     def _walk(self, mask: int):
         c = 0
@@ -281,9 +253,7 @@ class Matroid:
         return self._size_uniform
 
     def canonical_key(self):
-        if self._key is None:
-            self._key = (self.m, self.rank_total, self.flats_by_rank)
-        return self._key
+        return (self.m, self.rank_total, self.flats_by_rank)
 
     def proper_flat_sizes(self) -> tuple:
         """Sorted distinct sizes of nonempty proper flats."""
@@ -304,28 +274,25 @@ class Matroid:
 
         Both arguments must be flats with lower contained in upper. Flats of
         the minor are exactly the flats of self between them, relabeled in
-        induced element order.
+        induced element order, and so are their rows of covers, cut to the
+        elements of upper.
         """
-        lo_rank = self.rank_of_flat(lower)
-        hi_rank = self.rank_of_flat(upper)
         if lower & upper != lower:
             raise NotAFlat("lower flat is not contained in upper flat")
-        if lo_rank == hi_rank:
+        if self.rank_of_flat(lower) == self.rank_of_flat(upper):
             raise RankCollapse("minor interval has rank 0")
         elements = set_of(upper & ~lower)
         position = {e: i for i, e in enumerate(elements)}
-        levels = []
-        for k in range(lo_rank, hi_rank + 1):
-            level = []
-            for g in self.flats_by_rank[k]:
-                if g & lower == lower and g & upper == g:
-                    child = 0
-                    for x in bits_of(g & ~lower):
-                        child |= 1 << position[x]
-                    level.append(child)
-            levels.append(level)
-        child = Matroid(len(elements), hi_rank - lo_rank, levels, provenance="minor")
-        return child, MinorMap(elements)
+        gone = set_of(self.full_mask & ~upper | lower)[::-1]
+        flats = (lower, *self.flats_strictly_between(lower, upper), upper)
+        child_of = {g: _squeeze(g, gone) for g in flats}
+        step = {
+            child_of[g]: {
+                position[x]: child_of[h] for x, h in self._cover_step[g].items() if x in position
+            }
+            for g in flats
+        }
+        return Matroid(len(elements), step, provenance="minor"), MinorMap(elements)
 
     def restriction(self, flat: int):
         return self.minor_interval(0, flat)
@@ -336,24 +303,27 @@ class Matroid:
     def delete_element(self, i: int):
         """Single-element deletion. Rank drops exactly when i is a coloop.
 
-        The flats of M minus i are the sets F - i over the flats F of M;
-        F - i keeps the rank of F unless it is a smaller flat of M itself.
+        The flats of M minus i are the sets F - i over the flats F of M. The
+        closure of F - i in M is F - i when that is a flat of M and F
+        otherwise, so the cover of F - i gaining x is the row of that
+        closure at x, minus i.
         """
         if not 0 <= i < self.m:
             raise RankOutOfRange(f"element {i} out of range")
         if self.m == 1:
             raise EmptyInput("cannot delete the last element")
+        bit = 1 << i
+        step = {}
+        for f, row in self._cover_step.items():
+            g = f & ~bit
+            if g != f and g in self._rank_of_flat:
+                continue  # F - i is a flat of M, with a row of its own
+            step[_squeeze(g, (i,))] = {
+                x - (x > i): _squeeze(row[x], (i,)) for x in bits_of(self.full_mask & ~(f | bit))
+            }
+        child = Matroid(self.m - 1, step, provenance="deletion")
         elements = tuple(e for e in range(self.m) if e != i)
-        dropped = self.is_coloop(i)
-        below = (1 << i) - 1
-        levels = [set() for _ in range(self.rank_total + 1 - dropped)]
-        for k, level in enumerate(self.flats_by_rank):
-            for f in level:
-                g = f & ~(1 << i)
-                relabeled = (g & below) | ((g >> (i + 1)) << i)
-                levels[self._rank_of_flat.get(g, k)].add(relabeled)
-        child = Matroid(len(elements), len(levels) - 1, levels, provenance="deletion")
-        return child, MinorMap(elements, rank_dropped=dropped)
+        return child, MinorMap(elements, rank_dropped=child.rank_total < self.rank_total)
 
     def truncate(self, s: int):
         """Drop the top s ranks, keeping the flats below and the ground set."""
@@ -363,47 +333,56 @@ class Matroid:
             raise RankCollapse(f"truncating rank {self.rank_total} by {s}")
         if s == 0:
             return self
-        levels = [list(level) for level in self.flats_by_rank[: self.rank_total - s]]
-        levels.append([self.full_mask])
-        return Matroid(self.m, self.rank_total - s, levels, provenance="truncation")
+        top = self.rank_total - s
+        step = {f: self._cover_step[f] for level in self.flats_by_rank[: top - 1] for f in level}
+        for f in self.flats_by_rank[top - 1]:  # the new hyperplanes
+            step[f] = dict.fromkeys(bits_of(self.full_mask & ~f), self.full_mask)
+        step[self.full_mask] = {}
+        return Matroid(self.m, step, provenance="truncation")
 
 
-# -- generic construction from a rank oracle --------------------------------
+# -- construction by one upward walk -----------------------------------------
 
 
-def _closure_from_oracle(mask, base_rank, m, rank_fn):
-    out = mask
-    for y in range(m):
-        if not (out >> y) & 1 and rank_fn(mask | (1 << y)) == base_rank:
-            out |= 1 << y
-    return out
+def _from_closure(m: int, cover, provenance: str) -> Matroid:
+    """Matroid whose flat f gaining element x is covered by cover(f, x).
+
+    Walks up from the empty set one level at a time. The covers of a flat
+    partition its complement, so cover is called once per cover: the
+    elements a cover gains need no call of their own.
+    """
+    full = (1 << m) - 1
+    step = {}
+    level = {0}
+    while level:
+        above = set()
+        for f in level:
+            row = step[f] = {}
+            rest = full & ~f
+            while rest:
+                g = cover(f, (rest & -rest).bit_length() - 1)
+                row.update(dict.fromkeys(bits_of(g & ~f), g))
+                rest &= ~g
+                above.add(g)
+        level = above
+    return Matroid(m, step, provenance)
 
 
 def _from_rank_oracle(m: int, rank_fn, provenance: str) -> Matroid:
-    """Enumerate the flats of the matroid given by a rank oracle.
-
-    Saturates upward: the flats of rank k+1 are the closures of F + x over
-    flats F of rank k and elements x outside F.
-    """
+    """The matroid of a rank oracle: the cover of f gaining x is cl(f + x)."""
     full = (1 << m) - 1
-    total = rank_fn(full)
-    if total < 1:
+    if rank_fn(full) < 1:
         raise RankOutOfRange("matroid of rank 0")
     for x in range(m):
         if rank_fn(1 << x) == 0:
             raise LoopDetected(f"element {x} is a loop")
-    levels = [[0]]
-    current = [0]
-    for k in range(1, total + 1):
-        found = set()
-        for f in current:
-            rest = full & ~f
-            for x in bits_of(rest):
-                g = f | (1 << x)
-                found.add(_closure_from_oracle(g, rank_fn(g), m, rank_fn))
-        current = sorted(found)
-        levels.append(current)
-    return Matroid(m, total, levels, provenance=provenance)
+
+    def cover(f, x):
+        g = f | (1 << x)
+        base = rank_fn(g)
+        return g | mask_of(y for y in bits_of(full & ~g) if rank_fn(g | (1 << y)) == base)
+
+    return _from_closure(m, cover, provenance)
 
 
 # -- constructors ------------------------------------------------------------
@@ -413,14 +392,13 @@ def build_uniform(rank: int, n_plus_1: int) -> Matroid:
     """Uniform matroid: every subset of size up to `rank` is independent."""
     if not 1 <= rank <= n_plus_1:
         raise RankOutOfRange(f"uniform rank {rank} needs 1 <= rank <= {n_plus_1}")
-    m = n_plus_1
-    full = (1 << m) - 1
-    levels = [[0]]
-    for k in range(1, rank):
-        levels.append([mask_of(c) for c in combinations(range(m), k)])
-    levels.append([full])
-    tag = "boolean" if rank == m else "uniform"
-    return Matroid(m, rank, levels, provenance=tag)
+    full = (1 << n_plus_1) - 1
+
+    def cover(f, x):
+        return f | (1 << x) if f.bit_count() < rank - 1 else full
+
+    tag = "boolean" if rank == n_plus_1 else "uniform"
+    return _from_closure(n_plus_1, cover, provenance=tag)
 
 
 def build_boolean(n_plus_1: int) -> Matroid:
@@ -572,8 +550,8 @@ def build_from_flats(ground_set_size: int, flats_by_rank) -> Matroid:
 
     Checks the defining lattice axioms: the bottom level is the empty set,
     the top is the ground set, intersections of flats are flats, and the
-    covers of each flat partition its complement (the Matroid initializer
-    enforces the partition).
+    covers of each flat, found by scanning the level above, partition its
+    complement; every flat must cover one of the level below.
     """
     if ground_set_size < 1:
         raise EmptyInput("ground set must be nonempty")
@@ -590,7 +568,7 @@ def build_from_flats(ground_set_size: int, flats_by_rank) -> Matroid:
                 raise SizeViolation(f"flat {sorted(flat)} listed twice")
             seen.add(mask)
             masks.append(mask)
-        levels.append(masks)
+        levels.append(sorted(masks))
     if not levels or levels[0] != [0]:
         raise LoopDetected("rank-0 level must be exactly the empty set")
     if levels[-1] != [full]:
@@ -601,4 +579,27 @@ def build_from_flats(ground_set_size: int, flats_by_rank) -> Matroid:
                 raise NotAFlat(
                     f"intersection of flats {set_of(a)} and {set_of(b)} is not a flat"
                 )
-    return Matroid(ground_set_size, len(levels) - 1, levels, provenance="flats")
+    if len(levels) - 1 > ground_set_size:
+        raise RankOutOfRange(f"rank {len(levels) - 1} invalid for {ground_set_size} elements")
+    step = {full: {}}
+    for lower, upper in zip(levels, levels[1:]):
+        for f in lower:
+            row = step[f] = {}
+            for g in upper:
+                if f & g == f:
+                    for x in bits_of(g & ~f):
+                        if x in row:
+                            raise NotAFlat(
+                                f"element {x} lies in two covers of flat {set_of(f)}"
+                            )
+                        row[x] = g
+            if len(row) != ground_set_size - f.bit_count():
+                missing = [x for x in bits_of(full & ~f) if x not in row]
+                raise NotAFlat(
+                    f"covers of flat {set_of(f)} do not partition the complement"
+                    f" (no cover gains {missing[:3]})"
+                )
+        stray = set(upper).difference(*(step[f].values() for f in lower))
+        if stray:
+            raise NotAFlat(f"flat {set_of(min(stray))} covers no flat of the level below")
+    return Matroid(ground_set_size, step, provenance="flats")

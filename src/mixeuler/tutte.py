@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DivisionNotExact, LoopDetected
+from .errors import DivisionNotExact
 from .matroid import Matroid, bits_of
 from .polynomials import PolyXY, UniPoly
 
@@ -117,6 +117,4 @@ def characteristic_data(matroid: Matroid, tutte: PolyXY = None) -> CharData:
         mu.append(abs(coef))
     if mu[0] != 1:
         raise DivisionNotExact("reduced characteristic polynomial is not monic")
-    if matroid.flats_by_rank[0][0] != 0:
-        raise LoopDetected("characteristic polynomial needs a loopless matroid")
     return CharData(chi, reduced, tuple(mu))

@@ -1,0 +1,13 @@
+import pytest
+
+from mixeuler import expansion
+
+
+@pytest.fixture
+def size_view_only(monkeypatch):
+    """Make the auto engine fail unless it takes the size view."""
+
+    def refuse(*args):
+        raise AssertionError("auto engine took the flat view")
+
+    monkeypatch.setattr(expansion, "_flat_view", refuse)

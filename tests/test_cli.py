@@ -141,6 +141,25 @@ class TestDegree:
         table = readme.split("| pipeline ", 1)[1].split("\n\n", 1)[0]
         assert list(cli.PIPELINES) == re.findall(r"^\| `(\w+)`", table, re.M)
 
+    @pytest.mark.parametrize(
+        "argv,expect",
+        [
+            (["degree", "--c="], "1\n"),
+            (["degree", "--v="], "1\n"),
+            (["cvpoly", "--v="], "C_v(y) = 1\n"),
+        ],
+        ids=["degree-c", "degree-v", "cvpoly-v"],
+    )
+    def test_empty_lists_on_rank_one(self, capsys, argv, expect):
+        # boolean:1 has r = n = 0: the empty composition is its one query
+        code, out, _ = run_cli(capsys, *argv, "--matroid", "boolean:1")
+        assert (code, out) == (0, expect)
+
+    def test_empty_composition_needs_n_zero(self, capsys):
+        code, _, err = run_cli(capsys, "degree", "--matroid", "boolean:3", "--c=")
+        assert code == 1
+        assert err == "error: composition has 0 parts, need 2\n"
+
     def test_conventions_match(self, capsys):
         args = ["degree", "--matroid", "uniform:4,6", "--v", "2,2,3"]
         _, oi, _ = run_cli(capsys, *args, "--convention", "oi")

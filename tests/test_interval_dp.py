@@ -63,8 +63,8 @@ def test_flat_view_matches_flag_on_catalog():
 
 
 @pytest.mark.parametrize("m", [build_boolean(5), build_uniform(3, 6)], ids=repr)
-def test_size_view_matches_flag(m):
-    assert_dp_matches_flag(m, "sizes")
+def test_size_view_matches_flag(m, size_view_only):
+    assert_dp_matches_flag(m)
 
 
 @pytest.mark.parametrize("seed", SPARSE_PAVING_SEEDS)

@@ -1,7 +1,9 @@
 """Descent-sum degree formula against the flag engine."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -10,6 +12,7 @@ from mixeuler import (
     build_from_bases,
     build_sparse_paving,
     build_uniform,
+    localization,
 )
 from mixeuler.errors import (
     CompositionMismatch,
@@ -313,3 +316,18 @@ def test_series_rejects_bad_exponents():
         series_constant_term((0, 1, 2), (1, 1, 1))
     with pytest.raises(ExponentMismatch):
         series_constant_term((0, 1, 2), (2,))
+
+
+def test_class_table_dies_with_its_matroid():
+    gc.collect()
+    before = len(localization._CLASS_CACHE)
+    m = build_uniform(2, 4)
+    assert gamma_degree_via_localization(m, (1, 0, 0)) == mixed_eulerian_degree(m, (1, 0, 0))
+    gc.collect()  # the first call also fills, and drops, its sign-check entries
+    assert m in localization._CLASS_CACHE
+    assert len(localization._CLASS_CACHE) == before + 1
+    alive = weakref.ref(m)
+    del m
+    gc.collect()
+    assert alive() is None
+    assert len(localization._CLASS_CACHE) == before

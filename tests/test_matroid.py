@@ -1,7 +1,7 @@
 """Construction, rank/closure walks, minors, and input validation."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -28,7 +28,7 @@ from mixeuler.errors import (
     RankOutOfRange,
     SizeViolation,
 )
-from mixeuler.matroid import _from_rank_oracle
+from mixeuler.catalog import named_catalog
 
 FANO_LINES = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5), (2, 3, 6), (1, 4, 6), (0, 5, 6)]
 
@@ -144,6 +144,13 @@ def test_from_flats_rejects_non_lattice():
         build_from_flats(3, [[()], [(0, 1), (1, 2)], [(0, 1, 2)]])
 
 
+def test_from_flats_rejects_stray_flat():
+    # {0} sits at rank 2 but covers no rank-1 flat: the closure of {0} is {0, 1}
+    levels = [[()], [(0, 1), (2,), (3,)], [(0, 1, 2), (0, 1, 3), (2, 3), (0,)], [(0, 1, 2, 3)]]
+    with pytest.raises(NotAFlat, match=r"flat \(0,\) covers no flat"):
+        build_from_flats(4, levels)
+
+
 def test_minor_restriction_contraction():
     f = build_projective_geometry(2, 2)
     line = mask_of([0, 1, 2])
@@ -170,7 +177,7 @@ def test_minor_rank_collapse():
         u.minor_interval(mask_of([0]), mask_of([0]))
 
 
-def seeded_sparse_paving(m, rank, seed):
+def seeded_circuit_hyperplanes(m, rank, seed):
     # greedy circuit-hyperplanes from a seeded shuffle of the rank-subsets
     rng = random.Random(seed)
     candidates = list(combinations(range(m), rank))
@@ -179,7 +186,11 @@ def seeded_sparse_paving(m, rank, seed):
     for c in candidates:
         if all(len(set(c) & set(h)) <= rank - 2 for h in chosen):
             chosen.append(c)
-    return build_sparse_paving(rank, m, chosen)
+    return chosen
+
+
+def seeded_sparse_paving(m, rank, seed):
+    return build_sparse_paving(rank, m, seeded_circuit_hyperplanes(m, rank, seed))
 
 
 def test_delete_element():
@@ -206,11 +217,9 @@ def test_delete_element():
             assert {g for level in child.flats_by_rank for g in level} == want
             assert cmap.rank_dropped is coloops
             assert child.rank_total == m.rank_total - coloops
-            # the rank-oracle construction on the parent's rank is the reference
-            ref = _from_rank_oracle(
-                len(kept), lambda mask: m.rank(cmap.to_parent(mask)), "deletion"
-            )
-            assert child.flats_by_rank == ref.flats_by_rank, (m, e)
+            # the parent's rank on the kept elements, by brute force
+            rk = [m.rank(s) for s in lift_table(kept)]
+            assert child.flats_by_rank == brute_lattice(rk)[0], (m, e)
 
 
 def test_truncation():
@@ -254,3 +263,138 @@ def test_flats_strictly_between():
     assert len(between) == 7 + 7
     between_pt = f.flats_strictly_between(mask_of([0]), f.full_mask)
     assert len(between_pt) == 3  # lines through the point
+
+
+# -- the lattice against brute force over a rank function ----------------------
+#
+# Flats and closures below come from a table of the rank of every subset,
+# filled from each constructor's own formula, never from the package's
+# closure walks; a minor's table is read off its parent's.
+
+
+def uniform_rank(r):
+    return lambda s: min(s.bit_count(), r)
+
+
+def sparse_paving_rank(r, circuit_hyperplanes):
+    chs = {mask_of(c) for c in circuit_hyperplanes}
+    return lambda s: min(s.bit_count(), r) - (s in chs)
+
+
+def gf_rank(vectors, q):
+    """Rank over the prime field of order q: one reduced row per pivot."""
+    pivots = {}
+    for v in vectors:
+        v = list(v)
+        for i in range(len(v)):
+            a = v[i]
+            if a and i in pivots:
+                v = [(x - a * y) % q for x, y in zip(v, pivots[i])]
+            elif a:
+                inv = pow(a, q - 2, q)
+                pivots[i] = [x * inv % q for x in v]
+                break
+    return len(pivots)
+
+
+def pg_rank(r, q):
+    # points in lexicographic order, first nonzero coordinate 1
+    points = [
+        v for v in product(range(q), repeat=r + 1) if any(v) and next(filter(None, v)) == 1
+    ]
+    return lambda s: gf_rank([points[i] for i in bits_of(s)], q)
+
+
+CATALOG_RANKS = {
+    **{f"b{k}": int.bit_count for k in range(1, 7)},
+    **{
+        f"u{r}{n}": uniform_rank(r)
+        for r, n in [(2, 4), (2, 5), (2, 7), (3, 5), (3, 6), (4, 6), (4, 7), (5, 8)]
+    },
+    "fano": pg_rank(2, 2),
+    "pg23": pg_rank(2, 3),
+    "pg32": pg_rank(3, 2),
+    "sp361": sparse_paving_rank(3, [(0, 1, 2)]),
+    "sp362": sparse_paving_rank(3, [(0, 1, 2), (3, 4, 5)]),
+}
+COLOOP_BASES = [(0, 1, 3), (0, 2, 3), (0, 1, 4), (0, 2, 4), (0, 3, 4)]  # 0 a coloop
+
+
+def brute_lattice(rk):
+    """(flats by rank, closure of every subset) from a rank table."""
+    m = (len(rk) - 1).bit_length()
+    closure = []
+    for s, r in enumerate(rk):
+        closure.append(
+            s | sum(1 << x for x in range(m) if not s >> x & 1 and rk[s | 1 << x] == r)
+        )
+    levels = [[] for _ in range(rk[-1] + 1)]
+    for s, c in enumerate(closure):
+        if c == s:
+            levels[rk[s]].append(s)
+    return tuple(map(tuple, levels)), closure
+
+
+def lift_table(elements):
+    """lift[s] is the parent mask of child mask s over the given elements."""
+    lift = [0] * (1 << len(elements))
+    for s in range(1, len(lift)):
+        low = s & -s
+        lift[s] = lift[s ^ low] | 1 << elements[low.bit_length() - 1]
+    return lift
+
+
+def minors_with_ranks(m, rk):
+    """Every deletion, point contraction, hyperplane restriction and
+    truncation of m, each with its rank table read off rk."""
+    flats = brute_lattice(rk)[0]
+    if m.m > 1:
+        for e in range(m.m):
+            kept = [x for x in range(m.m) if x != e]
+            yield m.delete_element(e)[0], [rk[s] for s in lift_table(kept)]
+    if m.rank_total > 1:
+        for p in flats[1]:
+            kept = set_of(m.full_mask & ~p)
+            yield m.contraction(p)[0], [rk[s | p] - rk[p] for s in lift_table(kept)]
+        for h in flats[-2]:
+            yield m.restriction(h)[0], [rk[s] for s in lift_table(set_of(h))]
+    for s in range(1, m.rank_total):
+        yield m.truncate(s), [min(r, m.rank_total - s) for r in rk]
+
+
+def assert_lattice_matches_ranks(m, rk):
+    levels, closure = brute_lattice(rk)
+    assert m.flats_by_rank == levels, m
+    assert [m.closure(s) for s in range(len(rk))] == closure, m
+
+
+def _lattice_inputs():
+    out = [
+        pytest.param(m, CATALOG_RANKS[name], id=name)
+        for name, m in named_catalog().items()
+    ]
+    chs = seeded_circuit_hyperplanes(8, 4, 20241018)
+    out.append(
+        pytest.param(build_sparse_paving(4, 8, chs), sparse_paving_rank(4, chs), id="sp48")
+    )
+    bases = [mask_of(b) for b in COLOOP_BASES]
+    out.append(
+        pytest.param(
+            build_from_bases(5, COLOOP_BASES),
+            lambda s: max((s & b).bit_count() for b in bases),
+            id="coloop_bases",
+        )
+    )
+    return out
+
+
+def test_catalog_has_rank_formulas():
+    assert set(CATALOG_RANKS) == set(named_catalog())
+
+
+@pytest.mark.parametrize("m,rank_fn", _lattice_inputs())
+def test_lattice_matches_brute_force(m, rank_fn):
+    rk = [rank_fn(s) for s in range(1 << m.m)]
+    assert_lattice_matches_ranks(m, rk)
+    for child, child_rk in minors_with_ranks(m, rk):
+        assert_lattice_matches_ranks(child, child_rk)
