@@ -9,18 +9,19 @@ as decimal strings so arbitrarily large integers survive the trip.
 
 Exit codes: 0 success, 1 bad input, 2 broken internal invariant (two
 pipelines disagreeing is always a bug, never a property of the input).
+
+A call imports only what its subcommand runs: the module level needs
+errors, matroid and expansion, and every handler, suite and pipeline
+imports the rest of the package (and json or csv for output) where it is
+used, so `pvol` or `table` never compiles localization or recursion.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 import time
-from collections.abc import Callable
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import factorial
 
 from .errors import (
@@ -41,7 +42,6 @@ from .expansion import (
     log_concavity_check,
     pvol,
 )
-from .localization import MAX_GROUND_SET, gamma_degree_via_localization
 from .matroid import (
     Matroid,
     build_boolean,
@@ -50,29 +50,14 @@ from .matroid import (
     build_uniform,
     set_of,
 )
-from .matroid_json import load_matroid
-from .pmd import lopsided_degree, pmd_profile, pmd_recurrence_check, remixed_eulerian_eval
-from .polynomials import UniPoly
-from .recursion import (
-    c_degree,
-    classify_support,
-    cv_polynomial,
-    cv_via_tutte_convolution,
-    deletion_contraction_degree,
-    eulerian_recursion_degree,
-)
-from .trees import aggregate_by_flag, enumerate_trees
-from .tutte import characteristic_data, tutte_polynomial
 
 __all__ = ["MatroidSpec", "parse_matroid_spec", "run", "main"]
 
-@dataclass(frozen=True)
-class MatroidSpec:
+
+class MatroidSpec(namedtuple("MatroidSpec", "tag params text")):
     """A parsed matroid description: constructor tag plus its parameters."""
 
-    tag: str
-    params: tuple
-    text: str
+    __slots__ = ()
 
     def build(self) -> Matroid:
         if self.tag == "uniform":
@@ -84,6 +69,8 @@ class MatroidSpec:
         if self.tag == "sparse":
             rank, size, chs = self.params
             return build_sparse_paving(rank, size, chs)
+        from .matroid_json import load_matroid
+
         return load_matroid(self.params[0])
 
 
@@ -170,14 +157,6 @@ def _ms(start: float) -> int:
     return int((time.perf_counter() - start) * 1000)
 
 
-def _value_text(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
-
-
 def _render_flag(flag) -> str:
     return ";".join(_join(set_of(mask)) for mask in flag)
 
@@ -194,7 +173,10 @@ def _first_repeat_position(vs) -> int:
     )
 
 
-def _lopsided_exponents(matroid: Matroid, vs) -> tuple:
+def _lopsided(matroid: Matroid, vs, convention):
+    """lopsided_degree on the exponents of vs over the flat sizes."""
+    from .pmd import lopsided_degree, pmd_profile
+
     profile = pmd_profile(matroid)
     slots = {size: i for i, size in enumerate(profile.n_seq)}
     exps = [0] * len(profile.n_seq)
@@ -205,15 +187,52 @@ def _lopsided_exponents(matroid: Matroid, vs) -> tuple:
                 "products of classes at flat sizes only"
             )
         exps[slots[val]] += 1
-    return tuple(exps)
+    return lopsided_degree(matroid, tuple(exps))
+
+
+def _support(matroid: Matroid, vs):
+    from .recursion import classify_support
+
+    return classify_support(matroid, vs)
 
 
 def _contiguous(matroid: Matroid, vs) -> bool:
-    return bool(vs) and classify_support(matroid, vs).contiguous
+    return bool(vs) and _support(matroid, vs).contiguous
 
 
-@dataclass(frozen=True)
-class _Pipeline:
+def _eulerian(matroid: Matroid, vs, convention):
+    from .recursion import eulerian_recursion_degree
+
+    return eulerian_recursion_degree(matroid, vs, _first_repeat_position(vs), convention)
+
+
+def _delcon(matroid: Matroid, vs, convention):
+    from .recursion import deletion_contraction_degree
+
+    return deletion_contraction_degree(matroid, vs, 0, 0, convention)
+
+
+def _localization(matroid: Matroid, vs, convention):
+    from .localization import gamma_degree_via_localization
+
+    return gamma_degree_via_localization(matroid, indices_to_composition(vs, matroid.n))
+
+
+def _localizable(matroid: Matroid, vs) -> bool:
+    from .localization import MAX_GROUND_SET
+
+    return matroid.m <= MAX_GROUND_SET
+
+
+def _convolution(matroid: Matroid, vs, convention):
+    from .recursion import cv_via_tutte_convolution
+
+    return cv_via_tutte_convolution(matroid, vs, convention)
+
+
+class _Pipeline(
+    namedtuple("_Pipeline", "run check applies convention", defaults=("", None, "oi"))
+):
     """A degree pipeline and the domain the pipelines suite checks it on.
 
     run(matroid, sorted vs, convention) raises an InputError outside the
@@ -222,10 +241,7 @@ class _Pipeline:
     applies(matroid, vs) holds; lopsided has no row, the pmd suite checks it.
     """
 
-    run: Callable[[Matroid, tuple, str], int]
-    check: str = ""
-    applies: Callable[[Matroid, tuple], bool] | None = None
-    convention: str = "oi"
+    __slots__ = ()
 
 
 PIPELINES = {
@@ -236,33 +252,18 @@ PIPELINES = {
         "mult",
     ),
     "eulerian": _Pipeline(
-        lambda m, vs, conv: eulerian_recursion_degree(
-            m, vs, _first_repeat_position(vs), conv
-        ),
+        _eulerian,
         "repeat_entry_agrees",
-        lambda m, vs: len(set(vs)) < len(vs)
-        and classify_support(m, vs).flatly_contiguous,
+        lambda m, vs: len(set(vs)) < len(vs) and _support(m, vs).flatly_contiguous,
     ),
     "delcon": _Pipeline(
-        lambda m, vs, conv: deletion_contraction_degree(m, vs, 0, 0, conv),
+        _delcon,
         "deletion_contraction_agrees",
         lambda m, vs: m.rank_total >= 3 and _contiguous(m, vs),
     ),
-    "localization": _Pipeline(
-        lambda m, vs, conv: gamma_degree_via_localization(
-            m, indices_to_composition(vs, m.n)
-        ),
-        "localization_agrees",
-        lambda m, vs: m.m <= MAX_GROUND_SET,
-    ),
-    "lopsided": _Pipeline(
-        lambda m, vs, conv: lopsided_degree(m, _lopsided_exponents(m, vs))
-    ),
-    "convolution": _Pipeline(
-        lambda m, vs, conv: cv_via_tutte_convolution(m, vs, conv),
-        "convolution_agrees",
-        _contiguous,
-    ),
+    "localization": _Pipeline(_localization, "localization_agrees", _localizable),
+    "lopsided": _Pipeline(_lopsided),
+    "convolution": _Pipeline(_convolution, "convolution_agrees", _contiguous),
 }
 
 
@@ -302,9 +303,8 @@ def _cmd_table(args):
     lines = []
     for cs in compositions(matroid.r, matroid.n):
         vs = composition_to_indices(cs)
-        if args.contiguous_only and vs:
-            if not classify_support(matroid, vs).contiguous:
-                continue
+        if args.contiguous_only and vs and not _contiguous(matroid, vs):
+            continue
         start = time.perf_counter()
         value = gamma_product_degree(matroid, vs)
         records.append(
@@ -323,6 +323,8 @@ def _cmd_table(args):
 
 
 def _cmd_tutte(args):
+    from .tutte import tutte_polynomial
+
     spec = parse_matroid_spec(args.matroid)
     matroid = spec.build()
     start = time.perf_counter()
@@ -343,6 +345,8 @@ def _cmd_tutte(args):
 
 
 def _cmd_charpoly(args):
+    from .tutte import characteristic_data
+
     spec = parse_matroid_spec(args.matroid)
     matroid = spec.build()
     start = time.perf_counter()
@@ -377,6 +381,8 @@ def _cmd_charpoly(args):
 
 
 def _cmd_cvpoly(args):
+    from .recursion import cv_polynomial
+
     spec = parse_matroid_spec(args.matroid)
     matroid = spec.build()
     vs = tuple(sorted(_parse_int_list(args.v, "--v")))
@@ -411,6 +417,10 @@ def _cmd_pvol(args):
 
 
 def _cmd_remixed(args):
+    from fractions import Fraction
+
+    from .pmd import remixed_eulerian_eval
+
     try:
         q = Fraction(args.q)
     except (ValueError, ZeroDivisionError):
@@ -422,15 +432,17 @@ def _cmd_remixed(args):
         "matroid": "-",
         "c": _join(cs),
         "pipeline": "remixed",
-        "value": _value_text(value),
+        "value": str(value),
         "millis": _ms(start),
         "r": args.r,
         "q": str(q),
     }
-    return [record], _value_text(value), 0
+    return [record], str(value), 0
 
 
 def _cmd_trees(args):
+    from .trees import aggregate_by_flag, enumerate_trees
+
     spec = parse_matroid_spec(args.matroid)
     matroid = spec.build()
     vs = _parse_int_list(args.v, "--v")
@@ -448,24 +460,24 @@ def _cmd_trees(args):
                 "matroid": spec.text,
                 "c": _render_flag(flag),
                 "pipeline": "trees",
-                "value": _value_text(weight),
+                "value": str(weight),
                 "millis": millis,
                 "flats": [list(set_of(mask)) for mask in flag],
             }
         )
-        lines.append(f"flag {_render_flag(flag)}  {_value_text(weight)}")
+        lines.append(f"flag {_render_flag(flag)}  {weight}")
     records.append(
         {
             "matroid": spec.text,
             "c": "total",
             "pipeline": "trees",
-            "value": _value_text(total),
+            "value": str(total),
             "millis": millis,
             "v": _join(vs),
             "tree_count": len(terms),
         }
     )
-    lines.append(f"total {_value_text(total)}")
+    lines.append(f"total {total}")
     return records, "\n".join(lines), 0
 
 
@@ -492,6 +504,9 @@ class _Tally:
 
 
 def _suite_charpoly(matroid: Matroid):
+    from .polynomials import UniPoly
+    from .tutte import characteristic_data
+
     rows = []
     data = characteristic_data(matroid)
     rows.append(("chi_vanishes_at_one", data.chi(1) == 0, f"chi(1) = {data.chi(1)}"))
@@ -517,6 +532,10 @@ def _suite_charpoly(matroid: Matroid):
 
 
 def _suite_tutte(matroid: Matroid):
+    from .polynomials import UniPoly
+    from .recursion import c_degree, cv_polynomial
+    from .tutte import tutte_polynomial
+
     r = matroid.r
     if r == 0:
         return [("tutte_trivial_rank", True, "no positive-degree products")]
@@ -577,6 +596,8 @@ def _suite_pipelines(matroid: Matroid):
 
 
 def _suite_trees(matroid: Matroid):
+    from .trees import aggregate_by_flag, enumerate_trees
+
     agreement = _Tally("tree_weights_match_expansion")
     comps = list(compositions(matroid.r, matroid.n))[:120]
     for cs in comps:
@@ -605,6 +626,10 @@ def _suite_logconcave(matroid: Matroid):
 
 
 def _suite_pmd(matroid: Matroid):
+    from fractions import Fraction
+
+    from .pmd import lopsided_degree, pmd_profile, pmd_recurrence_check
+
     profile = pmd_profile(matroid)
     rows = [
         (
@@ -785,8 +810,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(records, text, fmt):
     if fmt == "json":
+        import json
+
         print(json.dumps(records, indent=2))
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(["matroid", "c", "pipeline", "value", "millis"])
         for rec in records:

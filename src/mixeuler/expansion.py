@@ -44,8 +44,6 @@ pvol runs the same DP with the weight summed over every class index.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import comb, factorial, lcm, prod
@@ -55,8 +53,6 @@ from .matroid import Matroid
 
 __all__ = [
     "CONVENTIONS",
-    "oi_weight",
-    "mult_weight",
     "weight_scale",
     "insertion_weight",
     "compositions",
@@ -75,19 +71,6 @@ __all__ = [
 
 CONVENTIONS = ("oi", "mult")
 _ENGINES = ("auto", "flag")
-
-
-def oi_weight(s_mask: int, t_mask: int, u_mask: int) -> int:
-    """Over-intersection of S and T inside U, on bitmasks."""
-    s = (s_mask & u_mask).bit_count()
-    t = (t_mask & u_mask).bit_count()
-    overlap = (s_mask & t_mask & u_mask).bit_count()
-    return overlap - max(0, s + t - u_mask.bit_count())
-
-
-def mult_weight(s_size: int, k: int, u_size: int) -> Fraction:
-    """Weight of a flat of size s_size in gamma_k over a u_size universe."""
-    return min(s_size, k) - Fraction(k * s_size, u_size)
 
 
 def weight_scale(m: int, convention: str) -> int:
@@ -171,21 +154,21 @@ def _unscale(total: int, divisor: int, what: str = "degree") -> int:
     """total / divisor, which must be exact."""
     quotient, rest = divmod(total, divisor)
     if rest:
+        from fractions import Fraction
+
         raise InternalError(f"{what} {Fraction(total, divisor)} is not an integer")
     return quotient
 
 
-@dataclass
-class WeightedFlagSum:
+class WeightedFlagSum(namedtuple("WeightedFlagSum", "matroid convention terms")):
     """A linear combination of flags of proper flats, keyed by flag tuple.
 
     Flags are tuples of flat bitmasks in increasing chain order. Weights are
-    ints under the oi convention and Fractions under mult.
+    ints under the oi convention and Fractions under mult. len() counts the
+    terms, not the fields.
     """
 
-    matroid: Matroid
-    convention: str
-    terms: dict
+    __slots__ = ()
 
     def total(self):
         return sum(self.terms.values())
@@ -259,6 +242,8 @@ def expand_gamma_product(matroid: Matroid, v, convention: str = "oi") -> Weighte
     scale = weight_scale(matroid.m, convention)
     terms = _expand(matroid, vs, convention, scale)
     if convention == "mult":
+        from fractions import Fraction
+
         denom = scale ** len(vs)
         terms = {flag: Fraction(w, denom) for flag, w in terms.items()}
     return WeightedFlagSum(matroid, convention, terms)
@@ -453,11 +438,10 @@ def count_initial_descending_flags(matroid: Matroid, k: int) -> int:
     return grow(0, matroid.m, 0)
 
 
-@dataclass(frozen=True)
-class LogConcavityResult:
-    middle: int
-    left: int
-    right: int
+class LogConcavityResult(namedtuple("LogConcavityResult", "middle left right")):
+    """A_{c+e_i+e_j}, A_{c+2e_i} and A_{c+2e_j} of one log-concavity check."""
+
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

@@ -29,7 +29,7 @@ the bare descent rule in tests.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -61,14 +61,15 @@ __all__ = [
 MAX_GROUND_SET = 8
 
 
-@dataclass(frozen=True)
-class PermutationEval:
-    """Flag data of one permutation: images, prefix-closure flag, jump set."""
+class PermutationEval(namedtuple("PermutationEval", "w flag k_set descents")):
+    """Flag data of one permutation: images, prefix-closure flag, jump set.
 
-    w: tuple
-    flag: tuple  # closures, empty set through the full ground set
-    k_set: tuple  # positions where the prefix closure grows; k_set[0] == 0
-    descents: frozenset  # positions i with w(i) > w(i+1)
+    w holds the images; flag the closures, empty set through the full ground
+    set; k_set the positions where the prefix closure grows (k_set[0] == 0);
+    descents the frozenset of positions i with w(i) > w(i+1).
+    """
+
+    __slots__ = ()
 
     @property
     def basis_mask(self) -> int:
@@ -78,9 +79,10 @@ class PermutationEval:
         return out
 
 
-@dataclass(frozen=True)
-class DescentTarget:
-    indices: frozenset
+class DescentTarget(namedtuple("DescentTarget", "indices")):
+    """The descent set, as a frozenset of positions, a permutation must have."""
+
+    __slots__ = ()
 
 
 def perm_flag_and_basis(matroid: Matroid, w) -> PermutationEval:
@@ -146,35 +148,45 @@ def _perm_classes(matroid: Matroid) -> dict:
     hit = _CLASS_CACHE.get(matroid)
     if hit is not None:
         return hit
-    full = matroid.full_mask
     classes: dict = {}
-
-    def grow(used_mask, closure_mask, last_img, pos, k_set, des_set, des_parity):
-        if used_mask == full:
-            by_des = classes.setdefault(k_set, {})
-            by_des[des_set] = by_des.get(des_set, 0) + (1 - 2 * (des_parity & 1))
-            return
-        remaining = full & ~used_mask
-        while remaining:
-            bit = remaining & -remaining
-            remaining &= remaining - 1
-            img = bit.bit_length() - 1
-            nxt = closure_mask if bit & closure_mask else matroid.closure(closure_mask | bit)
-            new_k = k_set + (pos,) if nxt != closure_mask else k_set
-            desc = pos > 0 and last_img > img
-            grow(
-                used_mask | bit,
-                nxt,
-                img,
-                pos + 1,
-                new_k,
-                des_set | {pos - 1} if desc else des_set,
-                des_parity + (1 if desc else 0),
-            )
-
-    grow(0, 0, -1, 0, (), frozenset(), 0)
+    _grow(matroid.closure, matroid.full_mask, classes, 0, 0, -1, 0, (), frozenset(), 0)
     _CLASS_CACHE[matroid] = classes
     return classes
+
+
+def _grow(
+    closure, full, classes, used_mask, closure_mask, last_img, pos, k_set, des_set, des_parity
+):
+    """One node of the walk of _perm_classes, tallying its leaves into classes.
+
+    A module-level function, not a closure: a nested recursive function
+    refers to itself and to the matroid, a cycle that keeps the matroid and
+    its cache entry alive until the cyclic collector runs.
+    """
+    if used_mask == full:
+        by_des = classes.setdefault(k_set, {})
+        by_des[des_set] = by_des.get(des_set, 0) + (1 - 2 * (des_parity & 1))
+        return
+    remaining = full & ~used_mask
+    while remaining:
+        bit = remaining & -remaining
+        remaining &= remaining - 1
+        img = bit.bit_length() - 1
+        nxt = closure_mask if bit & closure_mask else closure(closure_mask | bit)
+        new_k = k_set + (pos,) if nxt != closure_mask else k_set
+        desc = pos > 0 and last_img > img
+        _grow(
+            closure,
+            full,
+            classes,
+            used_mask | bit,
+            nxt,
+            img,
+            pos + 1,
+            new_k,
+            des_set | {pos - 1} if desc else des_set,
+            des_parity + (1 if desc else 0),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ only developed for loopless matroids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -89,8 +89,7 @@ def largest_elements_mask(universe: int, count: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class MinorMap:
+class MinorMap(namedtuple("MinorMap", "parent_elements rank_dropped", defaults=(False,))):
     """Order-preserving relabeling from a minor back to its parent.
 
     parent_elements[i] is the parent element that child element i came from.
@@ -98,8 +97,7 @@ class MinorMap:
     coloop.
     """
 
-    parent_elements: tuple
-    rank_dropped: bool = False
+    __slots__ = ()
 
     def to_child(self, parent_mask: int) -> int:
         out = 0

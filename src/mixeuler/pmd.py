@@ -13,7 +13,7 @@ numbers are computed here by solving the defining linear system exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PmdProfile:
+class PmdProfile(namedtuple("PmdProfile", "n_seq N_seq V_M")):
     """Per-rank flat sizes of a size-perfect matroid, with derived counts.
 
     n_seq holds the common sizes n_1 < ... < n_r of the proper flats by
@@ -47,9 +46,7 @@ class PmdProfile:
     the closed form for lopsided degrees.
     """
 
-    n_seq: tuple
-    N_seq: tuple
-    V_M: Fraction
+    __slots__ = ()
 
     @property
     def rank_count(self) -> int:

@@ -21,7 +21,7 @@ wrong; recursions push vectors out of range freely and rely on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PreconditionViolation, RankTooSmall, VOutOfRange
 from .expansion import _unscale, gamma_product_degree, insertion_weight, weight_scale
@@ -41,11 +41,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SupportClass:
-    contiguous: bool
-    flatly_contiguous: bool
-    interval: tuple | None  # witness [a, b] when flatly contiguous
+class SupportClass(namedtuple("SupportClass", "contiguous flatly_contiguous interval")):
+    """Support shape of an index vector; interval is the witness [a, b]
+    when flatly contiguous, else None."""
+
+    __slots__ = ()
 
 
 def classify_support(matroid: Matroid, v) -> SupportClass:

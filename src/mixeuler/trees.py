@@ -17,7 +17,7 @@ aggregation tests genuinely cross-check the expansion engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import VOutOfRange
@@ -33,8 +33,7 @@ from .matroid import Matroid
 __all__ = ["PostnikovTree", "tree_weight", "enumerate_trees", "aggregate_by_flag"]
 
 
-@dataclass(frozen=True)
-class PostnikovTree:
+class PostnikovTree(namedtuple("PostnikovTree", "labels flats parent side")):
     """An increasing binary tree whose vertices carry a chain of flats.
 
     Vertices are identified by search position 0..k-1 (leftmost first).
@@ -44,10 +43,7 @@ class PostnikovTree:
     side[t-1] is "left" or "right" ("root" for the root).
     """
 
-    labels: tuple
-    flats: tuple
-    parent: tuple
-    side: tuple
+    __slots__ = ()
 
     @property
     def size(self) -> int:

@@ -12,7 +12,7 @@ degree computations must reproduce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import DivisionNotExact
@@ -84,11 +84,11 @@ def tutte_polynomial(matroid: Matroid, method: str = "corank-nullity") -> PolyXY
     raise ValueError(f"unknown Tutte method {method!r}")
 
 
-@dataclass(frozen=True)
-class CharData:
-    chi: UniPoly
-    chi_reduced: UniPoly
-    mu: tuple
+class CharData(namedtuple("CharData", "chi chi_reduced mu")):
+    """chi(t), chi_reduced(t) = chi(t) / (t - 1), and mu[k] = (-1)^k times the
+    coefficient of t^(r-k) in chi_reduced."""
+
+    __slots__ = ()
 
 
 def characteristic_data(matroid: Matroid, tutte: PolyXY = None) -> CharData:

@@ -24,10 +24,10 @@ from mixeuler.expansion import (
     indices_to_composition,
     log_concavity_check,
     mixed_eulerian_degree,
-    mult_weight,
-    oi_weight,
     pvol,
 )
+
+from reference import mult_weight, oi_weight
 
 
 def eulerian_number(n, k):

@@ -331,3 +331,20 @@ def test_class_table_dies_with_its_matroid():
     gc.collect()
     assert alive() is None
     assert len(localization._CLASS_CACHE) == before
+
+
+def test_class_table_dies_without_the_cycle_collector():
+    gc.collect()
+    before = len(localization._CLASS_CACHE)
+    gc.disable()
+    try:
+        m = build_uniform(3, 5)
+        c = (1, 0, 1, 0)
+        assert gamma_degree_via_localization(m, c) == mixed_eulerian_degree(m, c)
+        assert len(localization._CLASS_CACHE) == before + 1
+        alive = weakref.ref(m)
+        del m
+        assert alive() is None
+        assert len(localization._CLASS_CACHE) == before
+    finally:
+        gc.enable()
