@@ -84,7 +84,7 @@ def _spec_ints(spec: str, chunk: str, offset: int, count: int) -> tuple:
     out = []
     pos = offset
     for part in parts:
-        if not part or not part.isdigit():
+        if not part.isdecimal():
             raise ParseError(
                 f"matroid spec {spec!r}: expected an integer at position {pos}"
             )
@@ -95,7 +95,11 @@ def _spec_ints(spec: str, chunk: str, offset: int, count: int) -> tuple:
 
 def parse_matroid_spec(s: str) -> MatroidSpec:
     """Parse "uniform:R,N" | "boolean:N" | "pg:R,Q" | "sparse:R,N;012|345"
-    | "file:PATH"."""
+    | "file:PATH".
+
+    A sparse block is one digit per element, or comma-separated integers
+    when it holds a comma: "sparse:3,12;012|9,10,11".
+    """
     text = s.strip()
     head, sep, rest = text.partition(":")
     if not sep:
@@ -120,12 +124,15 @@ def parse_matroid_spec(s: str) -> MatroidSpec:
         pos = offset + len(nums) + 1
         if semi:
             for block in blocks.split("|"):
-                if not block or not block.isdigit():
+                if "," in block:  # elements as integers, so above 9 too
+                    chs.append(_spec_ints(text, block, pos, block.count(",") + 1))
+                elif block.isdecimal():  # one digit per element
+                    chs.append(tuple(int(ch) for ch in block))
+                else:
                     raise ParseError(
                         f"matroid spec {text!r}: expected a digit block "
                         f"at position {pos}"
                     )
-                chs.append(tuple(int(ch) for ch in block))
                 pos += len(block) + 1
         return MatroidSpec("sparse", (rank, size, tuple(chs)), text)
     raise ParseError(f"matroid spec {text!r}: unknown tag {head!r} at position 0")
@@ -755,7 +762,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--matroid",
                 required=True,
                 help="uniform:R,N | boolean:N | pg:R,Q | sparse:R,N;012|345 "
-                "| file:PATH",
+                "(or sparse:R,N;0,1,2|9,10,11) | file:PATH",
             )
         return p
 

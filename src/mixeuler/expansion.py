@@ -30,15 +30,18 @@ Engines:
   inserted: v_1 puts a flat G into the gap (lo, hi); a later class below |G|
   then goes to the restriction [lo, G], one above it to the contraction
   [G, hi], and one equal to |G| kills the term. So
-  deg(lo, hi, vs) = sum_G w(lo, hi, G, v_1) deg(lo, G, vs_<) deg(G, hi, vs_>),
-  memoised on (lo, hi, vs) for the length of one call. It walks the flats,
-  except on matroids whose proper flats are exactly the small subsets
-  (uniform matroids): there it walks flat sizes, weighting each size by the
-  total weight of its flats.
+  deg(lo, hi, vs) = sum_G w(lo, hi, G, v_1) deg(lo, G, vs_<) deg(G, hi, vs_>).
+  It walks the flats, except on matroids whose proper flats are exactly the
+  small subsets (uniform matroids): there it walks flat sizes, weighting each
+  size by the total weight of its flats. The matroid owns the memo on
+  (lo, hi, vs), one per convention, next to the lattice view the DP walks:
+  every auto query on one matroid reuses the sub-interval degrees of the
+  queries before it, and both die with the matroid.
 * "flag", the term-by-term flag expansion above. It is the reference oracle
   the DP is tested against and the backend of expand_gamma_product.
 
-pvol runs the same DP with the weight summed over every class index.
+pvol runs the same DP on the same view, with each flat's weight summed over
+every class index in closed form (_gap_weight_total).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from itertools import combinations
 from math import comb, factorial, lcm, prod
 
 from .errors import CompositionMismatch, InternalError, VOutOfRange
-from .matroid import Matroid
+from .matroid import Matroid, bits_of, flats_between
 
 __all__ = [
     "CONVENTIONS",
@@ -98,6 +101,23 @@ def insertion_weight(
     s = g.bit_count() - lo_size
     k = val - lo_size
     return scale * min(s, k) - scale // (hi.bit_count() - lo_size) * k * s
+
+
+def _gap_weight_total(lo: int, hi: int, g: int, convention: str, scale: int) -> int:
+    """insertion_weight(lo, hi, g, val, ...) summed over every |lo| < val < |hi|.
+
+    With s = |g - lo|, u = |hi - lo| and j(x) the 0-based position of x
+    among the elements of hi - lo in ascending order, the sum is
+    sum_{x in g - lo} j(x) - s(s-1)/2 under oi and scale s(u-s)/2 under
+    mult; scale is even for every gap that has a flat inside it.
+    """
+    lo_size = lo.bit_count()
+    s = g.bit_count() - lo_size
+    if convention == "oi":
+        gap = hi & ~lo
+        positions = sum((gap & ((1 << x) - 1)).bit_count() for x in bits_of(g & ~lo))
+        return scale * (positions - s * (s - 1) // 2)
+    return scale * s * (hi.bit_count() - lo_size - s) // 2
 
 
 def compositions(total: int, parts: int):
@@ -255,16 +275,19 @@ def expand_gamma_product(matroid: Matroid, v, convention: str = "oi") -> Weighte
 # A lattice as the DP walks it. between(lo, hi) lists the nodes strictly
 # inside an interval, each standing for one flat or for all flats of one
 # size; weight(lo, hi, g, val) is the scaled insertion weight of node g,
-# summed over the flats it stands for.
-_View = namedtuple("_View", "bottom top rank size between weight")
+# summed over the flats it stands for, and total(lo, hi, g) that weight
+# summed over every val. A view is kept on its matroid, so it holds no
+# reference to the matroid: the matroid dies without the cycle collector.
+_View = namedtuple("_View", "bottom top rank size between weight total")
 
 
 def _flat_view(matroid, convention, scale):
     """Nodes are the flats themselves, as bitmasks."""
-    rank = {f: k for k, level in enumerate(matroid.flats_by_rank) for f in level}
+    rank = matroid._rank_of_flat
+    between = partial(flats_between, matroid._between_cache, rank, matroid.flats_by_rank)
     weight = partial(insertion_weight, convention=convention, scale=scale)
-    between = matroid.flats_strictly_between
-    return _View(0, matroid.full_mask, rank.__getitem__, int.bit_count, between, weight)
+    total = partial(_gap_weight_total, convention=convention, scale=scale)
+    return _View(0, matroid.full_mask, rank.__getitem__, int.bit_count, between, weight, total)
 
 
 def _uniform_gap_weight(lo, hi, g, val, convention, scale):
@@ -278,6 +301,16 @@ def _uniform_gap_weight(lo, hi, g, val, convention, scale):
     return comb(u, x) * insertion_weight(lo_mask, hi_mask, g_mask, val, convention, scale)
 
 
+def _uniform_gap_total(lo, hi, g, convention, scale):
+    """_gap_weight_total summed over all flats of size g in a gap, sizes only."""
+    u = hi - lo
+    x = g - lo
+    if convention == "oi":
+        # each of the u positions 0..u-1 lies in comb(u-1, x-1) of the x-subsets
+        return scale * (comb(u - 1, x - 1) * u * (u - 1) // 2 - comb(u, x) * x * (x - 1) // 2)
+    return comb(u, x) * scale * x * (u - x) // 2
+
+
 def _size_view(matroid, convention, scale):
     """Node s stands for every flat of size s; proper flats have rank s."""
     m = matroid.m
@@ -289,24 +322,34 @@ def _size_view(matroid, convention, scale):
         return range(lo + 1, min(hi, rank_total))
 
     weight = partial(_uniform_gap_weight, convention=convention, scale=scale)
-    return _View(0, m, rank.__getitem__, int, between, weight)
+    total = partial(_uniform_gap_total, convention=convention, scale=scale)
+    return _View(0, m, rank.__getitem__, int, between, weight, total)
 
 
-def _pick_view(matroid, convention, engine, scale):
-    """The DP's lattice view for an engine name, None for the flag oracle."""
+def _pick_view(matroid, convention, engine):
+    """The matroid's (view, memo) of the DP for an engine name, None for flag.
+
+    Built at the first auto query under convention and kept on the matroid,
+    so the view binds insertion_weight and _flat_view as they were then.
+    """
     if engine not in _ENGINES:
         raise VOutOfRange(f"unknown engine {engine!r}")
     if engine == "flag":
         return None
-    if matroid.is_size_uniform():
-        return _size_view(matroid, convention, scale)
-    return _flat_view(matroid, convention, scale)
+    state = matroid._degree_memos.get(convention)
+    if state is None:
+        make = _size_view if matroid.is_size_uniform() else _flat_view
+        view = make(matroid, convention, weight_scale(matroid.m, convention))
+        state = matroid._degree_memos[convention] = (view, {})
+    return state
 
 
-def _interval_dp(view, vs):
-    """scale^len(vs) times the degree of the sorted product vs, by the DP."""
+def _interval_dp(view, memo, vs):
+    """scale^len(vs) times the degree of the sorted product vs, by the DP.
+
+    memo maps (lo, hi, vs) to its scaled degree; it must belong to view.
+    """
     rank, size_of, between, weight = view.rank, view.size, view.between, view.weight
-    memo = {}
 
     def deg(lo, hi, vs):
         key = (lo, hi, vs)
@@ -337,7 +380,7 @@ def _interval_dp(view, vs):
 
 def _volume_dp(view):
     """scale^r times the degree of (gamma_1 + ... + gamma_n)^r, by the DP."""
-    rank, size, between, weight = view.rank, view.size, view.between, view.weight
+    rank, between, total = view.rank, view.between, view.total
     memo = {}
 
     def vol(lo, hi):
@@ -347,10 +390,9 @@ def _volume_dp(view):
         got = memo.get((lo, hi))
         if got is None:
             base = rank(lo) + 1
-            vals = range(size(lo) + 1, size(hi))
             got = 0
             for g in between(lo, hi):
-                wt = sum(weight(lo, hi, g, val) for val in vals)
+                wt = total(lo, hi, g)
                 if wt:
                     # the j - 1 later classes interleave, a of them below g
                     a = rank(g) - base
@@ -370,17 +412,17 @@ def gamma_product_degree(
     from r, gives 0. Recursive identities lean on that convention.
     """
     _check_convention(convention)
-    scale = weight_scale(matroid.m, convention)
-    view = _pick_view(matroid, convention, engine, scale)
+    state = _pick_view(matroid, convention, engine)
     vs = tuple(sorted(v))
     if len(vs) != matroid.r:
         return 0
     if vs and (vs[0] < 1 or vs[-1] > matroid.n):
         return 0
-    if view is None:
+    scale = weight_scale(matroid.m, convention)
+    if state is None:
         total = sum(_expand(matroid, vs, convention, scale).values())
     else:
-        total = _interval_dp(view, vs)
+        total = _interval_dp(*state, vs)
     return _unscale(total, scale ** len(vs))
 
 
@@ -397,16 +439,16 @@ def mixed_eulerian_degree(
 def pvol(matroid: Matroid, convention: str = "oi", engine: str = "auto") -> int:
     """Degree of (gamma_1 + ... + gamma_n)^r, the permutohedral volume.
 
-    Equals the multinomial-weighted sum of all A_c(M). The DP engines get it
-    in one pass by summing the insertion weight over every class index;
+    Equals the multinomial-weighted sum of all A_c(M). The DP gets it in one
+    pass, weighting each flat by its insertion weight summed over every class
+    index (_gap_weight_total), on the matroid's view but with its own memo;
     engine "flag" takes that multinomial sum over the flag oracle.
     """
     _check_convention(convention)
     r = matroid.r
-    scale = weight_scale(matroid.m, convention)
-    view = _pick_view(matroid, convention, engine, scale)
-    if view is not None:
-        return _unscale(_volume_dp(view), scale**r)
+    state = _pick_view(matroid, convention, engine)
+    if state is not None:
+        return _unscale(_volume_dp(state[0]), weight_scale(matroid.m, convention) ** r)
     return sum(
         factorial(r) // prod(map(factorial, c))
         * mixed_eulerian_degree(matroid, c, convention, "flag")

@@ -133,6 +133,9 @@ class Matroid:
         self._rank_of_flat = {f: k for k, level in enumerate(levels) for f in level}
         self._cover_step = step
         self._between_cache = {}
+        # convention -> (view, memo) of the auto degree engine (expansion.py),
+        # filled by the first degree query under that convention
+        self._degree_memos = {}
         self._closure_tab = None
         self._size_uniform = None
         self._flat_sizes = None
@@ -182,21 +185,7 @@ class Matroid:
 
     def flats_strictly_between(self, lo: int, hi: int):
         """All flats G with lo < G < hi, as a cached tuple."""
-        key = (lo, hi)
-        got = self._between_cache.get(key)
-        if got is None:
-            lo_rank = self._rank_of_flat[lo] if lo else 0
-            hi_rank = (
-                self.rank_total if hi == self.full_mask else self._rank_of_flat[hi]
-            )
-            got = tuple(
-                g
-                for k in range(lo_rank + 1, hi_rank)
-                for g in self.flats_by_rank[k]
-                if g & lo == lo and g & hi == g
-            )
-            self._between_cache[key] = got
-        return got
+        return flats_between(self._between_cache, self._rank_of_flat, self.flats_by_rank, lo, hi)
 
     def closure_table(self):
         """Closure of every subset, as a list indexed by mask. Needs m <= 20."""
@@ -337,6 +326,23 @@ class Matroid:
             step[f] = dict.fromkeys(bits_of(self.full_mask & ~f), self.full_mask)
         step[self.full_mask] = {}
         return Matroid(self.m, step, provenance="truncation")
+
+
+def flats_between(cache: dict, rank_of_flat: dict, levels, lo: int, hi: int):
+    """The flats strictly between flats lo and hi, looked up in or added to cache.
+
+    Matroid.flats_strictly_between with its matroid's tables passed in, so
+    that a partial of it holds no reference to the matroid.
+    """
+    got = cache.get((lo, hi))
+    if got is None:
+        got = cache[lo, hi] = tuple(
+            g
+            for k in range(rank_of_flat[lo] + 1, rank_of_flat[hi])
+            for g in levels[k]
+            if g & lo == lo and g & hi == g
+        )
+    return got
 
 
 # -- construction by one upward walk -----------------------------------------

@@ -12,6 +12,7 @@ from mixeuler import cli
 from mixeuler.cli import MatroidSpec, parse_matroid_spec, run
 from mixeuler.errors import InternalError, ParseError
 from mixeuler.expansion import mixed_eulerian_degree
+from mixeuler.matroid import build_sparse_paving
 
 U24_DOC = '{"ground_set_size": 4, "bases": [[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}'
 
@@ -43,6 +44,27 @@ class TestSpecParsing:
         spec = parse_matroid_spec("sparse:3,6")
         assert spec.params == (3, 6, ())
 
+    def test_sparse_integer_blocks_name_elements_above_nine(self):
+        spec = parse_matroid_spec("sparse:3,12;0,1,2|9,10,11")
+        assert spec.params == (3, 12, ((0, 1, 2), (9, 10, 11)))
+        assert spec.build().canonical_key() == build_sparse_paving(
+            3, 12, [(0, 1, 2), (9, 10, 11)]
+        ).canonical_key()
+
+    def test_tutte_on_elements_above_nine(self, capsys):
+        code, out, _ = run_cli(capsys, "tutte", "--matroid", "sparse:3,12;0,1,2|9,10,11")
+        assert code == 0 and out.startswith("T(x,y) = ")
+
+    def test_sparse_digit_blocks_keep_one_digit_per_element(self):
+        spec = parse_matroid_spec("sparse:3,12;012|9,10,11")
+        assert spec.params == (3, 12, ((0, 1, 2), (9, 10, 11)))
+
+    @pytest.mark.parametrize("block", ["0,,1", "0,a", ",0,1", "0,1,", "0²1", "0,²,1"])
+    def test_sparse_malformed_blocks_exit_one(self, capsys, block):
+        code, out, err = run_cli(capsys, "tutte", "--matroid", f"sparse:3,6;{block}")
+        assert code == 1 and not out
+        assert err.startswith("error: matroid spec") and "position" in err
+
     def test_file(self, tmp_path):
         path = tmp_path / "u24.json"
         path.write_text(U24_DOC)
@@ -62,6 +84,7 @@ class TestSpecParsing:
             "uniform:a,5",
             "pg:2,",
             "boolean:-3",
+            "pg:²,2",
             "sparse:3,6;",
             "sparse:3,6;01a",
             "sparse:3,6;012|",

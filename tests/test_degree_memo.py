@@ -1,0 +1,79 @@
+"""The auto engine's memo, kept on its matroid and shared by every degree query."""
+
+import gc
+import random
+import weakref
+
+import pytest
+
+from mixeuler import build_projective_geometry, build_uniform
+from mixeuler.catalog import named_catalog
+from mixeuler.expansion import CONVENTIONS, compositions, mixed_eulerian_degree, pvol
+from mixeuler.matroid import Matroid
+
+SMALL = {name: m for name, m in named_catalog().items() if m.m <= 9}
+
+
+def fresh(m):
+    """A new matroid object on the same cover table, with empty memos."""
+    return Matroid(m.m, m._cover_step, m.provenance)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_warm_memo_matches_flag_and_fresh_matroids(name, convention):
+    shared = fresh(SMALL[name])
+    cs = list(compositions(shared.r, shared.n))
+    random.Random(f"{name}-{convention}").shuffle(cs)
+    for c in cs:
+        warm = mixed_eulerian_degree(shared, c, convention)
+        assert warm == mixed_eulerian_degree(shared, c, convention, "flag"), c
+        assert warm == mixed_eulerian_degree(fresh(shared), c, convention), c
+    if shared.r:
+        # a second pass finds every interval it needs in the memo
+        memo = shared._degree_memos[convention][1]
+        size = len(memo)
+        assert size
+        for c in cs:
+            mixed_eulerian_degree(shared, c, convention)
+        assert len(memo) == size
+
+
+def test_one_memo_per_convention():
+    m = build_projective_geometry(2, 2)
+    c = (1, 0, 1, 0, 0, 0)
+    assert mixed_eulerian_degree(m, c, "oi") == mixed_eulerian_degree(m, c, "mult")
+    assert set(m._degree_memos) == set(CONVENTIONS)
+    (oi_view, oi_memo), (mult_view, mult_memo) = (m._degree_memos[k] for k in CONVENTIONS)
+    assert oi_view is not mult_view and oi_memo is not mult_memo
+    assert oi_memo and mult_memo
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: build_projective_geometry(2, 2), lambda: build_uniform(3, 6)],
+    ids=["flat view", "size view"],
+)
+def test_memo_dies_without_the_cycle_collector(make):
+    gc.collect()
+    gc.disable()
+    try:
+        m = make()
+        for conv in CONVENTIONS:
+            for c in compositions(m.r, m.n):
+                mixed_eulerian_degree(m, c, conv)
+            pvol(m, conv)
+            assert m._degree_memos[conv][1]
+        alive = weakref.ref(m)
+        del m
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_flag_engine_leaves_the_memo_empty():
+    m = build_projective_geometry(2, 2)
+    for conv in CONVENTIONS:
+        for c in compositions(m.r, m.n):
+            mixed_eulerian_degree(m, c, conv, "flag")
+        pvol(m, conv, "flag")
+    assert m._degree_memos == {}

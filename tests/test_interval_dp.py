@@ -18,10 +18,12 @@ from mixeuler import expansion
 from mixeuler.catalog import named_catalog
 from mixeuler.errors import InternalError, VOutOfRange
 from mixeuler.expansion import (
+    CONVENTIONS,
     compositions,
     insertion_weight,
     mixed_eulerian_degree,
     pvol,
+    weight_scale,
 )
 
 from reference import mult_weight, oi_weight
@@ -164,8 +166,43 @@ def test_insertion_weight_matches_reference_formulas():
 @pytest.mark.parametrize("engine", ["auto", "flag"])
 def test_inexact_final_division_raises(monkeypatch, engine):
     # every flat weighted 1: the scaled sum is a flag count far below L^r,
-    # so the division by L^r leaves a remainder
+    # so the division by L^r leaves a remainder. The matroid must be built
+    # after the patch: the auto engine binds insertion_weight into the view
+    # it keeps on the matroid at its first query.
     monkeypatch.setattr(expansion, "insertion_weight", lambda *args, **kwargs: 1)
     fano = build_projective_geometry(2, 2)
     with pytest.raises(InternalError):
         expansion.gamma_product_degree(fano, (1, 2), "mult", engine)
+
+
+def test_gap_weight_total_is_the_sum_over_class_indices():
+    """pvol's closed form against insertion_weight summed val by val."""
+    cases = 0
+    for m in named_catalog().values():
+        if m.m > 9:
+            continue
+        flats = [f for level in m.flats_by_rank for f in level]
+        for conv in CONVENTIONS:
+            scale = weight_scale(m.m, conv)
+            for lo in flats:
+                for hi in flats:
+                    if lo & hi != lo or lo == hi:
+                        continue
+                    vals = range(lo.bit_count() + 1, hi.bit_count())
+                    for g in m.flats_strictly_between(lo, hi):
+                        want = sum(insertion_weight(lo, hi, g, val, conv, scale) for val in vals)
+                        assert expansion._gap_weight_total(lo, hi, g, conv, scale) == want
+                        cases += 1
+    assert cases > 10_000
+
+
+@pytest.mark.parametrize("m", [build_boolean(6), build_uniform(4, 8)], ids=repr)
+def test_size_view_total_is_the_sum_over_class_indices(m):
+    for conv in CONVENTIONS:
+        view = expansion._size_view(m, conv, weight_scale(m.m, conv))
+        nodes = (*range(m.rank_total), m.m)
+        for lo in nodes:
+            for hi in nodes:
+                for g in view.between(lo, hi):
+                    want = sum(view.weight(lo, hi, g, val) for val in range(lo + 1, hi))
+                    assert view.total(lo, hi, g) == want, (conv, lo, hi, g)
