@@ -344,63 +344,54 @@ def _pick_view(matroid, convention, engine):
     return state
 
 
-def _interval_dp(view, memo, vs):
-    """scale^len(vs) times the degree of the sorted product vs, by the DP.
+def _deg(view, memo, lo, hi, vs):
+    """scale^len(vs) times the degree of the sorted product vs on [lo, hi].
 
-    memo maps (lo, hi, vs) to its scaled degree; it must belong to view.
+    memo maps (lo, hi, vs) to it and must belong to view. Module-level, as
+    is _vol: a recursive closure would leave a cycle behind every query.
     """
-    rank, size_of, between, weight = view.rank, view.size, view.between, view.weight
+    key = (lo, hi, vs)
+    got = memo.get(key)
+    if got is None:
+        rank, size_of, weight = view.rank, view.size, view.weight
+        val, rest = vs[0], vs[1:]
+        n_rest = len(rest)
+        base = rank(lo) + 1
+        got = 0
+        for g in view.between(lo, hi):
+            # a full flag puts exactly `a` flats, so `a` classes, below g
+            size = size_of(g)
+            a = rank(g) - base
+            if (a and rest[a - 1] >= size) or (a < n_rest and rest[a] <= size):
+                continue
+            wt = weight(lo, hi, g, val)
+            if wt:
+                left = _deg(view, memo, lo, g, rest[:a]) if a else 1
+                if left:
+                    got += wt * left * (_deg(view, memo, g, hi, rest[a:]) if a < n_rest else 1)
+        memo[key] = got
+    return got
 
-    def deg(lo, hi, vs):
-        key = (lo, hi, vs)
-        got = memo.get(key)
-        if got is None:
-            val, rest = vs[0], vs[1:]
-            n_rest = len(rest)
-            base = rank(lo) + 1
-            got = 0
-            for g in between(lo, hi):
-                # a full flag puts exactly `a` flats, so `a` classes, below g
-                size = size_of(g)
+
+def _vol(view, memo, lo, hi):
+    """scale^j times the degree of (gamma_1 + ... + gamma_n)^j on [lo, hi],
+    j the number of classes it receives; memo maps (lo, hi) to it."""
+    rank = view.rank
+    j = rank(hi) - rank(lo) - 1
+    if not j:
+        return 1
+    got = memo.get((lo, hi))
+    if got is None:
+        base = rank(lo) + 1
+        got = 0
+        for g in view.between(lo, hi):
+            wt = view.total(lo, hi, g)
+            if wt:
+                # the j - 1 later classes interleave, a of them below g
                 a = rank(g) - base
-                if (a and rest[a - 1] >= size) or (a < n_rest and rest[a] <= size):
-                    continue
-                wt = weight(lo, hi, g, val)
-                if wt:
-                    left = deg(lo, g, rest[:a]) if a else 1
-                    if left:
-                        got += wt * left * (deg(g, hi, rest[a:]) if a < n_rest else 1)
-            memo[key] = got
-        return got
-
-    if len(vs) != rank(view.top) - rank(view.bottom) - 1:
-        return 0
-    return deg(view.bottom, view.top, tuple(vs)) if vs else 1
-
-
-def _volume_dp(view):
-    """scale^r times the degree of (gamma_1 + ... + gamma_n)^r, by the DP."""
-    rank, between, total = view.rank, view.between, view.total
-    memo = {}
-
-    def vol(lo, hi):
-        j = rank(hi) - rank(lo) - 1  # classes this gap receives
-        if not j:
-            return 1
-        got = memo.get((lo, hi))
-        if got is None:
-            base = rank(lo) + 1
-            got = 0
-            for g in between(lo, hi):
-                wt = total(lo, hi, g)
-                if wt:
-                    # the j - 1 later classes interleave, a of them below g
-                    a = rank(g) - base
-                    got += wt * comb(j - 1, a) * vol(lo, g) * vol(g, hi)
-            memo[lo, hi] = got
-        return got
-
-    return vol(view.bottom, view.top)
+                got += wt * comb(j - 1, a) * _vol(view, memo, lo, g) * _vol(view, memo, g, hi)
+        memo[lo, hi] = got
+    return got
 
 
 def gamma_product_degree(
@@ -422,7 +413,8 @@ def gamma_product_degree(
     if state is None:
         total = sum(_expand(matroid, vs, convention, scale).values())
     else:
-        total = _interval_dp(*state, vs)
+        view, memo = state
+        total = _deg(view, memo, view.bottom, view.top, vs) if vs else 1
     return _unscale(total, scale ** len(vs))
 
 
@@ -448,7 +440,9 @@ def pvol(matroid: Matroid, convention: str = "oi", engine: str = "auto") -> int:
     r = matroid.r
     state = _pick_view(matroid, convention, engine)
     if state is not None:
-        return _unscale(_volume_dp(state[0]), weight_scale(matroid.m, convention) ** r)
+        view = state[0]
+        total = _vol(view, {}, view.bottom, view.top)
+        return _unscale(total, weight_scale(matroid.m, convention) ** r)
     return sum(
         factorial(r) // prod(map(factorial, c))
         * mixed_eulerian_degree(matroid, c, convention, "flag")

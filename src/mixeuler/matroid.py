@@ -136,7 +136,6 @@ class Matroid:
         # convention -> (view, memo) of the auto degree engine (expansion.py),
         # filled by the first degree query under that convention
         self._degree_memos = {}
-        self._closure_tab = None
         self._size_uniform = None
         self._flat_sizes = None
 
@@ -187,32 +186,34 @@ class Matroid:
         """All flats G with lo < G < hi, as a cached tuple."""
         return flats_between(self._between_cache, self._rank_of_flat, self.flats_by_rank, lo, hi)
 
-    def closure_table(self):
-        """Closure of every subset, as a list indexed by mask. Needs m <= 20."""
-        if self._closure_tab is None:
-            if self.m > 20:
-                raise InternalError("full closure table limited to 20 elements")
-            size = 1 << self.m
-            tab = [0] * size
-            step = self._cover_step
-            for s in range(1, size):
-                low = s & -s
-                t = tab[s ^ low]
-                x = low.bit_length() - 1
-                tab[s] = t if (t >> x) & 1 else step[t][x]
-            self._closure_tab = tab
-        return self._closure_tab
-
     def corank_nullity_counts(self):
-        """Counts of subsets by (corank, nullity) over the whole power set."""
-        tab = self.closure_table()
-        rk = self._rank_of_flat
+        """Counts of subsets by (corank, nullity), read off the lattice of flats.
+
+        With f_F[j] the number of j-subsets whose closure is the flat F,
+        f_F[j] = C(|F|, j) - sum over flats G < F of f_G[j] for j >= rank(F),
+        walking the levels upward. An independent flat is the closure of
+        itself only, so it never enters the sum of a flat above it.
+        """
         top = self.rank_total
         counts = {}
-        for s, c in enumerate(tab):
-            r = rk[c]
-            key = (top - r, s.bit_count() - r)
-            counts[key] = counts.get(key, 0) + 1
+        dependent = []  # (G, f_G) for the dependent flats of the levels below
+        for k, level in enumerate(self.flats_by_rank):
+            new = []
+            for f in level:
+                size = f.bit_count()
+                if size > k:
+                    got = {j: comb(size, j) for j in range(k, size + 1)}
+                    for g, below in dependent:
+                        if g & f == g:
+                            for j, c in below.items():
+                                if j >= k:
+                                    got[j] -= c
+                    new.append((f, got))
+            counts[top - k, 0] = len(level) - len(new)  # the independent flats
+            for _, got in new:
+                for j, c in got.items():
+                    counts[top - k, j - k] = counts.get((top - k, j - k), 0) + c
+            dependent += new
         return counts
 
     # -- structure predicates ---------------------------------------------

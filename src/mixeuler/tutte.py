@@ -1,8 +1,8 @@
 """Tutte and characteristic polynomials, exactly.
 
 Two independent routes to the Tutte polynomial: the corank-nullity sum over
-all subsets of the ground set (primary, exhaustive), and loopless
-deletion-contraction where a non-coloop element i satisfies
+all subsets of the ground set (primary), counted on the lattice of flats,
+and loopless deletion-contraction where a non-coloop element i satisfies
 T_M = T_{M minus i} + y^(p-1) T_{M contract cl(i)} with p the number of
 elements parallel to i, a coloop contributes a factor of x, and the empty
 matroid is 1. The characteristic polynomial comes from T by the standard
@@ -76,7 +76,11 @@ def _tutte_delcon(matroid: Matroid) -> PolyXY:
 
 
 def tutte_polynomial(matroid: Matroid, method: str = "corank-nullity") -> PolyXY:
-    """T_M(x, y); `method` is "corank-nullity" or "deletion-contraction"."""
+    """T_M(x, y); `method` is "corank-nullity" or "deletion-contraction".
+
+    The corank-nullity sum counts the subsets of each closure on the lattice
+    of flats (Matroid.corank_nullity_counts), not one subset at a time.
+    """
     if method == "corank-nullity":
         return _tutte_corank_nullity(matroid)
     if method == "deletion-contraction":

@@ -214,6 +214,33 @@ class TestDegree:
         assert err.startswith("error:")
 
 
+class TestPastTwentyElements:
+    """Tutte and characteristic polynomials on 31 elements, counted on the lattice."""
+
+    @pytest.mark.parametrize(
+        "spec,mu", [("pg:4,2", "1,30,280,960,1024"), ("pg:2,5", "1,30,125")]
+    )
+    def test_charpoly(self, capsys, spec, mu):
+        # mu is read off the product of (t - q^i), i = 1..r
+        code, out, _ = run_cli(capsys, "charpoly", "--matroid", spec)
+        assert code == 0
+        assert f"mu = {mu}\n" in out
+
+    def test_tutte(self, capsys):
+        code, out, _ = run_cli(capsys, "tutte", "--matroid", "pg:2,5")
+        assert code == 0 and out.startswith("T(x,y) = ")
+
+    def test_check_charpoly(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--suite", "charpoly", "--matroid", "pg:2,5")
+        assert code == 0 and "all passed" in out
+
+    def test_convolution_matches_flag(self, capsys):
+        args = ["degree", "--matroid", "pg:2,5", "--v", "1,2", "--pipeline"]
+        code, convolution, _ = run_cli(capsys, *args, "convolution")
+        assert code == 0
+        assert convolution == run_cli(capsys, *args, "flag")[1] == "250\n"
+
+
 class TestFormats:
     def test_json_record_round_trips(self, capsys):
         code, out, _ = run_cli(

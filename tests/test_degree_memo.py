@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from itertools import cycle, islice
 
 import pytest
 
@@ -77,3 +78,22 @@ def test_flag_engine_leaves_the_memo_empty():
             mixed_eulerian_degree(m, c, conv, "flag")
         pvol(m, conv, "flag")
     assert m._degree_memos == {}
+
+
+def test_queries_leave_no_garbage():
+    # the DP recurses through module-level functions, so no query leaves a
+    # reference cycle behind for the collector
+    m = build_projective_geometry(3, 2)
+    cs = list(islice(cycle(compositions(m.r, m.n)), 200))
+    for c in cs:  # warm-up: fills the memo and imports what the queries use
+        mixed_eulerian_degree(m, c)
+    pvol(m)
+    gc.collect()
+    gc.disable()
+    try:
+        for c in cs:
+            mixed_eulerian_degree(m, c)
+        pvol(m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -30,6 +30,10 @@ from mixeuler.errors import (
 )
 from mixeuler.catalog import named_catalog
 
+from reference import corank_nullity_counts as reference_counts
+from test_interval_dp import SPARSE_PAVING_SEEDS, random_sparse_paving
+from test_localization import seeded_sparse_paving as localization_sparse_paving
+
 FANO_LINES = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5), (2, 3, 6), (1, 4, 6), (0, 5, 6)]
 
 
@@ -232,17 +236,31 @@ def test_truncation():
         b.truncate(5)
 
 
-def test_closure_table_and_corank_nullity():
+def test_corank_nullity_counts():
     u = build_uniform(2, 3)
-    tab = u.closure_table()
-    assert tab[mask_of([0])] == mask_of([0])
-    assert tab[mask_of([0, 1])] == u.full_mask
     counts = u.corank_nullity_counts()
     # 8 subsets: rank 0 (1), rank 1 (3), rank 2 (3 pairs + 1 triple)
     assert counts[(2, 0)] == 1
     assert counts[(1, 0)] == 3
     assert counts[(0, 0)] == 3
     assert counts[(0, 1)] == 1
+
+
+def _count_inputs():
+    out = [pytest.param(m, id=name) for name, m in named_catalog().items()]
+    seeded = [
+        ("sp48", build_sparse_paving(4, 8, seeded_circuit_hyperplanes(8, 4, 20241018))),
+        ("sp73", seeded_sparse_paving(7, 3, 20240902)),
+        ("sp84", localization_sparse_paving(8, 4, 20240901)),
+        *((f"random{seed}", random_sparse_paving(seed)) for seed in SPARSE_PAVING_SEEDS),
+        ("u7_14", build_uniform(7, 14)),
+    ]
+    return out + [pytest.param(m, id=name) for name, m in seeded]
+
+
+@pytest.mark.parametrize("m", _count_inputs())
+def test_corank_nullity_counts_match_every_subset(m):
+    assert m.corank_nullity_counts() == reference_counts(m)
 
 
 def test_coloop_detection():

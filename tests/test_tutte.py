@@ -1,6 +1,7 @@
 """Tutte and characteristic polynomials, plus the degree identities they feed."""
 
 import itertools
+from math import comb
 
 import pytest
 
@@ -63,8 +64,6 @@ def test_fano_spanning_counts():
 
 
 def test_uniform_rank_generating_formula():
-    from math import comb
-
     for rank, size in [(2, 4), (3, 5), (4, 6), (2, 6)]:
         m = build_uniform(rank, size)
         n, r = m.n, m.r
@@ -122,8 +121,6 @@ def test_u23_char():
 
 
 def test_boolean_char_binomials():
-    from math import comb
-
     data = characteristic_data(build_boolean(4))
     lam = UniPoly.variable()
     assert data.chi_reduced == (lam - 1) ** 3
@@ -224,3 +221,41 @@ def test_top_mu_is_tutte_at_one_zero():
     for name, m in catalog().items():
         t = tutte_polynomial(m)
         assert t.substitute(1, 0) == characteristic_data(m, tutte=t).mu[-1], name
+
+
+# ---------------------------------------------------------------------------
+# past 20 elements: the subsets are counted on the lattice of flats
+
+
+@pytest.fixture(scope="module")
+def pg42():
+    return build_projective_geometry(4, 2)  # 31 points, rank 5
+
+
+@pytest.mark.parametrize("r,q", [(4, 2), (2, 5), (2, 7), (3, 3)], ids=str)
+def test_projective_mu_closed_form(r, q, pg42):
+    # chi_reduced of PG(r, q) is the product of (t - q^i) over i = 1..r
+    m = pg42 if (r, q) == (4, 2) else build_projective_geometry(r, q)
+    lam = UniPoly.variable()
+    want = UniPoly.constant(1)
+    for i in range(1, r + 1):
+        want = want * (lam - q**i)
+    data = characteristic_data(m)
+    assert data.chi_reduced == want
+    assert data.mu == tuple(abs(want[r - k]) for k in range(r + 1))
+
+
+@pytest.mark.parametrize("convention", ["oi", "mult"])
+def test_pg42_mu_equals_degrees_and_descending_flags(convention, pg42):
+    mu = characteristic_data(pg42).mu
+    n, r = pg42.n, pg42.r
+    for k in range(r + 1):
+        assert gamma_product_degree(pg42, (1,) * k + (n,) * (r - k), convention) == mu[k], k
+        assert count_initial_descending_flags(pg42, k) == mu[k], k
+
+
+def test_pg25_basis_and_subset_counts():
+    t = tutte_polynomial(build_projective_geometry(2, 5))
+    # bases: triples of the 31 points that do not lie on one of the 31 lines of 6
+    assert t.substitute(1, 1) == comb(31, 3) - 31 * comb(6, 3) == 3875
+    assert t.substitute(2, 2) == 2**31
