@@ -284,7 +284,7 @@ _View = namedtuple("_View", "bottom top rank size between weight total")
 def _flat_view(matroid, convention, scale):
     """Nodes are the flats themselves, as bitmasks."""
     rank = matroid._rank_of_flat
-    between = partial(flats_between, matroid._between_cache, rank, matroid.flats_by_rank)
+    between = partial(flats_between, matroid._between_cache, matroid._lattice_index())
     weight = partial(insertion_weight, convention=convention, scale=scale)
     total = partial(_gap_weight_total, convention=convention, scale=scale)
     return _View(0, matroid.full_mask, rank.__getitem__, int.bit_count, between, weight, total)
@@ -459,19 +459,23 @@ def count_initial_descending_flags(matroid: Matroid, k: int) -> int:
     """
     if k < 0 or k > matroid.r:
         raise VOutOfRange(f"flag length {k} outside 0..{matroid.r}")
+    return _descending_flags(matroid.flats_by_rank[1 : k + 1], 0, matroid.m)
 
-    def grow(flat, prev_min, depth):
-        if depth == k:
-            return 1
-        total = 0
-        for g in matroid.flats_by_rank[depth + 1]:
-            if flat & g == flat:
-                g_min = (g & -g).bit_length() - 1
-                if g_min > 0 and (depth == 0 or g_min < prev_min):
-                    total += grow(g, g_min, depth + 1)
-        return total
 
-    return grow(0, matroid.m, 0)
+def _descending_flags(levels, flat, prev_min):
+    """Descending flags that continue from flat through one flat of each level.
+
+    Module-level, as are _deg and _vol, so that no call leaves a cycle.
+    """
+    if not levels:
+        return 1
+    total = 0
+    for g in levels[0]:
+        if flat & g == flat:
+            g_min = (g & -g).bit_length() - 1
+            if 0 < g_min < prev_min:
+                total += _descending_flags(levels[1:], g, g_min)
+    return total
 
 
 class LogConcavityResult(namedtuple("LogConcavityResult", "middle left right")):

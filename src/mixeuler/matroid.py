@@ -6,9 +6,19 @@ Levels and ranks are read off the table by walking up from the empty set,
 and rank and closure queries walk it too, never re-running a rank oracle.
 The constructors of uniform, basis, sparse paving and projective matroids
 share one upward walk that asks for one closure per cover, since the covers
-of a flat partition its complement; minors and truncations copy and relabel
-their parent's rows; build_from_flats, the one constructor of outside
-lattices, scans adjacent levels for the covers and checks them.
+of a flat partition its complement. Basis and sparse paving matroids get it
+from a rank oracle; a projective geometry takes the span of the flat and
+the new point, a union of lines it computed once from the coordinate
+vectors. Minors and truncations copy and relabel their parent's rows;
+build_from_flats, the one constructor of outside lattices, scans adjacent
+levels for the covers and checks them.
+
+Interval queries (flats_strictly_between) read a lazy per-matroid index:
+the flats numbered in level order and, for each element, the bitset of the
+flats that contain it. An interval is the AND of the bitsets of lo's
+elements, less those of the elements outside hi, within the rank window:
+one big-integer operation per element and one step per flat returned,
+instead of a subset test of every flat in the window.
 
 Element order is the natural integer order and minors relabel surviving
 elements in that induced order; several downstream weight conventions
@@ -20,7 +30,7 @@ only developed for loopless matroids.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import accumulate, combinations, product
 from math import comb
 
 from .errors import (
@@ -133,6 +143,7 @@ class Matroid:
         self._rank_of_flat = {f: k for k, level in enumerate(levels) for f in level}
         self._cover_step = step
         self._between_cache = {}
+        self._interval_index = None
         # convention -> (view, memo) of the auto degree engine (expansion.py),
         # filled by the first degree query under that convention
         self._degree_memos = {}
@@ -182,9 +193,35 @@ class Matroid:
         for k in range(1, self.rank_total):
             yield from self.flats_by_rank[k]
 
+    def _lattice_index(self):
+        """The flats in level order with one bitset per element, built at first use.
+
+        (flats, has, first, rank, full): bit i of has[x] is set when flats[i]
+        contains element x, the flats of rank k are flats[first[k]:first[k + 1]],
+        rank maps a flat to its rank and full is the ground set. Plain data,
+        so that flats_between can be bound to it without the matroid.
+        """
+        if self._interval_index is None:
+            flats = tuple(f for level in self.flats_by_rank for f in level)
+            # the bitsets are the columns of the flats written as binary rows,
+            # last flat first; the leftmost column is the top element's
+            width = f"0{self.m}b"
+            columns = zip(*(format(f, width) for f in reversed(flats)))
+            has = tuple(int("".join(c), 2) for c in columns)[::-1]
+            first = tuple(accumulate(map(len, self.flats_by_rank), initial=0))
+            self._interval_index = (flats, has, first, self._rank_of_flat, self.full_mask)
+        return self._interval_index
+
     def flats_strictly_between(self, lo: int, hi: int):
-        """All flats G with lo < G < hi, as a cached tuple."""
-        return flats_between(self._between_cache, self._rank_of_flat, self.flats_by_rank, lo, hi)
+        """All flats G with lo < G < hi in level order, as a cached tuple.
+
+        Read off the lattice index: the flats of the ranks strictly between
+        that contain every element of lo and no element outside hi.
+        """
+        got = self._between_cache.get((lo, hi))
+        if got is None:  # a hit needs no index
+            got = flats_between(self._between_cache, self._lattice_index(), lo, hi)
+        return got
 
     def corank_nullity_counts(self):
         """Counts of subsets by (corank, nullity), read off the lattice of flats.
@@ -329,20 +366,31 @@ class Matroid:
         return Matroid(self.m, step, provenance="truncation")
 
 
-def flats_between(cache: dict, rank_of_flat: dict, levels, lo: int, hi: int):
+def flats_between(cache: dict, index: tuple, lo: int, hi: int):
     """The flats strictly between flats lo and hi, looked up in or added to cache.
 
-    Matroid.flats_strictly_between with its matroid's tables passed in, so
-    that a partial of it holds no reference to the matroid.
+    Matroid.flats_strictly_between with its matroid's cache and lattice index
+    passed in, so that a partial of it holds no reference to the matroid. The
+    candidates are the flats of the ranks strictly between; each element of
+    lo keeps those that contain it, each element outside hi drops those that
+    contain it, and the survivors are read off in level order.
     """
     got = cache.get((lo, hi))
     if got is None:
-        got = cache[lo, hi] = tuple(
-            g
-            for k in range(rank_of_flat[lo] + 1, rank_of_flat[hi])
-            for g in levels[k]
-            if g & lo == lo and g & hi == g
-        )
+        flats, has, first, rank, full = index
+        begin, end = first[rank[lo] + 1], first[rank[hi]]
+        inside = (1 << end) - (1 << begin) if begin < end else 0
+        for x in bits_of(lo):
+            inside &= has[x]
+        for x in bits_of(full & ~hi):
+            inside &= ~has[x]
+        bits = bin(inside)[:1:-1]  # bits[i] is bit i of inside
+        got = []
+        i = bits.find("1")
+        while i >= 0:
+            got.append(flats[i])
+            i = bits.find("1", i + 1)
+        got = cache[lo, hi] = tuple(got)
     return got
 
 
@@ -504,50 +552,40 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _gf_rank(vectors, q: int) -> int:
-    rows = []
-    for vec in vectors:
-        v = list(vec)
-        for lead, row in rows:
-            c = v[lead]
-            if c:
-                v = [(a - c * b) % q for a, b in zip(v, row)]
-        lead = next((i for i, a in enumerate(v) if a), None)
-        if lead is not None:
-            inv = pow(v[lead], q - 2, q) if q > 2 else v[lead]
-            v = [(a * inv) % q for a in v]
-            rows.append((lead, v))
-    return len(rows)
-
-
 def build_projective_geometry(r: int, q: int) -> Matroid:
     """Rank r+1 projective geometry over the prime field of order q.
 
     Elements are the points, ordered by their lexicographically normalized
-    coordinate vectors (first nonzero coordinate scaled to 1).
+    coordinate vectors (first nonzero coordinate scaled to 1). The cover of
+    a flat f gaining point x is their span, the union of f and the lines
+    through x and each point p of f. The line through p and x holds p, x
+    and the q - 1 points of x + c p for nonzero c; every line is computed
+    once, up front, by looking these vectors up among the nonzero multiples
+    of the points.
     """
     if r < 1:
         raise RankOutOfRange("projective geometry needs r >= 1")
     if not _is_prime(q):
         raise NonPrimeQ(f"{q} is not prime")
-    dim = r + 1
-    points = []
-    for code in range(1, q**dim):
-        vec = []
-        rest = code
-        for _ in range(dim):
-            vec.append(rest % q)
-            rest //= q
-        vec.reverse()
-        lead = next(a for a in vec if a)
-        if lead == 1:
-            points.append(tuple(vec))
-    points.sort()
+    points = [v for v in product(range(q), repeat=r + 1) if any(v) and next(filter(None, v)) == 1]
+    point_of = {tuple(c * a % q for a in v): i for i, v in enumerate(points) for c in range(1, q)}
+    line = [[0] * len(points) for _ in points]  # line[p][x]: the line through points p and x
+    for p, w in enumerate(points):
+        for x, v in enumerate(points):
+            if x != p and not line[p][x]:
+                mask = (1 << p) | (1 << x)
+                for c in range(1, q):
+                    mask |= 1 << point_of[tuple((a + c * b) % q for a, b in zip(v, w))]
+                for y in bits_of(mask):
+                    line[p][y] = mask
 
-    def rank_fn(mask):
-        return _gf_rank([points[i] for i in bits_of(mask)], q)
+    def cover(f, x):
+        g = f | (1 << x)
+        for p in bits_of(f):
+            g |= line[p][x]
+        return g
 
-    return _from_rank_oracle(len(points), rank_fn, provenance="pg")
+    return _from_closure(len(points), cover, provenance="pg")
 
 
 def build_from_flats(ground_set_size: int, flats_by_rank) -> Matroid:

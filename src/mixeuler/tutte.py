@@ -36,43 +36,41 @@ def _tutte_corank_nullity(matroid: Matroid) -> PolyXY:
     return PolyXY(out)
 
 
-def _tutte_delcon(matroid: Matroid) -> PolyXY:
-    x = PolyXY.x()
-    memo = {}
+def _tutte_delcon(matroid: Matroid, memo: dict, ground: int, contracted: int) -> PolyXY:
+    """T of the minor on the elements of ground, with the flat `contracted`
+    contracted; memo maps (ground, contracted) to it.
 
-    def rank_in(contracted, subset):
-        # rank of subset in the minor contracted by the flat `contracted`
-        return matroid.rank(subset | contracted) - matroid.rank(contracted)
-
-    def rec(ground, contracted):
-        if ground == 0:
-            return PolyXY.constant(1)
-        key = (ground, contracted)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        rk = rank_in(contracted, ground)
-        # pick the smallest non-coloop element if one exists
-        pick = None
-        for i in bits_of(ground):
-            if rank_in(contracted, ground & ~(1 << i)) == rk:
-                pick = i
-                break
-        if pick is None:
-            # every element a coloop: Boolean minor
-            res = x ** ground.bit_count()
-        else:
-            bit = 1 << pick
-            parallel = matroid.closure(contracted | bit) & ground
-            p = parallel.bit_count()
-            y_pow = PolyXY({(0, p - 1): 1})
-            res = rec(ground & ~bit, contracted) + y_pow * rec(
-                ground & ~parallel, matroid.closure(contracted | bit)
-            )
-        memo[key] = res
-        return res
-
-    return rec(matroid.full_mask, 0)
+    Module-level, as a recursive closure would leave a cycle behind every
+    call that keeps the matroid alive until the cycle collector runs.
+    """
+    if ground == 0:
+        return PolyXY.constant(1)
+    key = (ground, contracted)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    # the rank of a subset in the minor is its rank with the contracted flat
+    # added, less a constant, so compare those ranks
+    rk = matroid.rank(ground | contracted)
+    # pick the smallest non-coloop element if one exists
+    pick = None
+    for i in bits_of(ground):
+        if matroid.rank(ground & ~(1 << i) | contracted) == rk:
+            pick = i
+            break
+    if pick is None:
+        # every element a coloop: Boolean minor
+        res = PolyXY.x() ** ground.bit_count()
+    else:
+        bit = 1 << pick
+        closed = matroid.closure(contracted | bit)
+        parallel = closed & ground
+        y_pow = PolyXY({(0, parallel.bit_count() - 1): 1})
+        res = _tutte_delcon(matroid, memo, ground & ~bit, contracted) + y_pow * _tutte_delcon(
+            matroid, memo, ground & ~parallel, closed
+        )
+    memo[key] = res
+    return res
 
 
 def tutte_polynomial(matroid: Matroid, method: str = "corank-nullity") -> PolyXY:
@@ -84,7 +82,7 @@ def tutte_polynomial(matroid: Matroid, method: str = "corank-nullity") -> PolyXY
     if method == "corank-nullity":
         return _tutte_corank_nullity(matroid)
     if method == "deletion-contraction":
-        return _tutte_delcon(matroid)
+        return _tutte_delcon(matroid, {}, matroid.full_mask, 0)
     raise ValueError(f"unknown Tutte method {method!r}")
 
 

@@ -4,7 +4,9 @@ The engines compute every insertion weight through
 `expansion.insertion_weight`; oi_weight and mult_weight are the weights as
 the definitions state them, on sets and sizes. The engines count subsets
 by corank and nullity on the lattice of flats; corank_nullity_counts
-closes every subset of the ground set instead.
+closes every subset of the ground set instead. Matroid.flats_strictly_between
+reads an interval off per-element bitsets; flats_between_scan tests every
+flat of the ranks strictly between.
 """
 
 from fractions import Fraction
@@ -41,3 +43,14 @@ def corank_nullity_counts(matroid) -> dict:
         r = matroid.rank_of_flat(c)
         counts[top - r, s.bit_count() - r] = counts.get((top - r, s.bit_count() - r), 0) + 1
     return counts
+
+
+def flats_between_scan(matroid, lo: int, hi: int) -> tuple:
+    """The flats G with lo < G < hi in level order, scanning the rank window."""
+    rank = matroid.rank_of_flat
+    return tuple(
+        g
+        for k in range(rank(lo) + 1, rank(hi))
+        for g in matroid.flats_by_rank[k]
+        if g & lo == lo and g & hi == g
+    )

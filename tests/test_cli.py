@@ -215,10 +215,15 @@ class TestDegree:
 
 
 class TestPastTwentyElements:
-    """Tutte and characteristic polynomials on 31 elements, counted on the lattice."""
+    """Tutte and characteristic polynomials past 20 elements, counted on the lattice."""
 
     @pytest.mark.parametrize(
-        "spec,mu", [("pg:4,2", "1,30,280,960,1024"), ("pg:2,5", "1,30,125")]
+        "spec,mu",
+        [
+            ("pg:4,2", "1,30,280,960,1024"),
+            ("pg:2,5", "1,30,125"),
+            ("pg:3,5", "1,155,3875,15625"),  # 156 points
+        ],
     )
     def test_charpoly(self, capsys, spec, mu):
         # mu is read off the product of (t - q^i), i = 1..r

@@ -64,6 +64,8 @@ def test_memo_dies_without_the_cycle_collector(make):
                 mixed_eulerian_degree(m, c, conv)
             pvol(m, conv)
             assert m._degree_memos[conv][1]
+        m.flats_strictly_between(0, m.full_mask)  # the size view never builds the index
+        assert m._interval_index is not None
         alive = weakref.ref(m)
         del m
         assert alive() is None

@@ -1,6 +1,8 @@
 """Flag expansion, weights, degrees, and the size-sequence fast path."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import comb, factorial
 
@@ -244,6 +246,22 @@ def test_descending_flag_counts():
             assert count_initial_descending_flags(M, k) == mus[k]
     with pytest.raises(VOutOfRange):
         count_initial_descending_flags(build_uniform(2, 3), 5)
+
+
+def test_descending_flag_count_leaves_no_cycle():
+    # the count recurses through a module-level function, so the matroid
+    # dies at del without the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        m = build_projective_geometry(2, 3)
+        assert count_initial_descending_flags(m, 2) == 27  # mu^2 of PG(2, 3)
+        alive = weakref.ref(m)
+        del m
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_boolean_descending_flags_are_binomial():

@@ -29,8 +29,10 @@ from mixeuler.errors import (
     SizeViolation,
 )
 from mixeuler.catalog import named_catalog
+from mixeuler.matroid import _from_rank_oracle
 
 from reference import corank_nullity_counts as reference_counts
+from reference import flats_between_scan
 from test_interval_dp import SPARSE_PAVING_SEEDS, random_sparse_paving
 from test_localization import seeded_sparse_paving as localization_sparse_paving
 
@@ -246,16 +248,19 @@ def test_corank_nullity_counts():
     assert counts[(0, 1)] == 1
 
 
-def _count_inputs():
-    out = [pytest.param(m, id=name) for name, m in named_catalog().items()]
-    seeded = [
+def _seeded_sparse_paving():
+    """The seeded sparse paving matroids of the test generators, by name."""
+    return [
         ("sp48", build_sparse_paving(4, 8, seeded_circuit_hyperplanes(8, 4, 20241018))),
         ("sp73", seeded_sparse_paving(7, 3, 20240902)),
         ("sp84", localization_sparse_paving(8, 4, 20240901)),
         *((f"random{seed}", random_sparse_paving(seed)) for seed in SPARSE_PAVING_SEEDS),
-        ("u7_14", build_uniform(7, 14)),
     ]
-    return out + [pytest.param(m, id=name) for name, m in seeded]
+
+
+def _count_inputs():
+    named = [*named_catalog().items(), *_seeded_sparse_paving(), ("u7_14", build_uniform(7, 14))]
+    return [pytest.param(m, id=name) for name, m in named]
 
 
 @pytest.mark.parametrize("m", _count_inputs())
@@ -281,6 +286,26 @@ def test_flats_strictly_between():
     assert len(between) == 7 + 7
     between_pt = f.flats_strictly_between(mask_of([0]), f.full_mask)
     assert len(between_pt) == 3  # lines through the point
+
+
+@pytest.mark.parametrize(
+    "m",
+    [pytest.param(m, id=name) for name, m in [*named_catalog().items(), *_seeded_sparse_paving()]],
+)
+def test_interval_index_matches_the_scan(m):
+    # every pair of flats, comparable or not, on a matroid with an empty cache
+    m = Matroid(m.m, m._cover_step, m.provenance)
+    flats = [f for level in m.flats_by_rank for f in level]
+    for lo in flats:
+        for hi in flats:
+            assert m.flats_strictly_between(lo, hi) == flats_between_scan(m, lo, hi), (lo, hi)
+
+
+def test_interval_index_matches_the_scan_on_u7_14():
+    m = build_uniform(7, 14)
+    for f in m.proper_flats():
+        for lo, hi in ((0, f), (f, m.full_mask)):
+            assert m.flats_strictly_between(lo, hi) == flats_between_scan(m, lo, hi), (lo, hi)
 
 
 # -- the lattice against brute force over a rank function ----------------------
@@ -321,6 +346,32 @@ def pg_rank(r, q):
         v for v in product(range(q), repeat=r + 1) if any(v) and next(filter(None, v)) == 1
     ]
     return lambda s: gf_rank([points[i] for i in bits_of(s)], q)
+
+
+@pytest.mark.parametrize("r,q", [(2, 5), (2, 7), (3, 3)])
+def test_pg_covers_from_spans_match_the_rank_oracle(r, q):
+    want = _from_rank_oracle((q ** (r + 1) - 1) // (q - 1), pg_rank(r, q), "pg")
+    assert build_projective_geometry(r, q)._cover_step == want._cover_step
+
+
+def gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of GF(q)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("r,q", [(5, 2), (3, 5), (2, 11)])
+def test_large_pg_levels_are_subspace_counts(r, q):
+    m = build_projective_geometry(r, q)
+    want = [gaussian_binomial(r + 1, k, q) for k in range(r + 2)]
+    assert [len(level) for level in m.flats_by_rank] == want
+    for k, level in enumerate(m.flats_by_rank):
+        # a rank-k flat is the point set of a k-dimensional subspace, so
+        # every line has q + 1 points
+        assert {f.bit_count() for f in level} == {(q**k - 1) // (q - 1)}, k
 
 
 CATALOG_RANKS = {

@@ -1,6 +1,8 @@
 """Tutte and characteristic polynomials, plus the degree identities they feed."""
 
+import gc
 import itertools
+import weakref
 from math import comb
 
 import pytest
@@ -76,6 +78,23 @@ def test_methods_agree():
         a = tutte_polynomial(m, method="corank-nullity")
         b = tutte_polynomial(m, method="deletion-contraction")
         assert a == b, name
+
+
+def test_deletion_contraction_leaves_no_cycle():
+    # the recursion is a module-level function, so the matroid dies at del
+    # without the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        m = build_projective_geometry(2, 3)
+        t = tutte_polynomial(m, method="deletion-contraction")
+        assert t == tutte_polynomial(m)
+        alive = weakref.ref(m)
+        del m
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unknown_method():
