@@ -124,6 +124,10 @@ class Matroid:
     every flat (the ground set's is empty). The initializer reads the
     levels and ranks off the table and otherwise trusts it: use the
     module-level build_* constructors and the minor methods, which supply it.
+
+    A matroid never changes, so it memoises its interval queries, degree
+    engines and minors; a minor asked again, after its arguments are checked,
+    is the same object, and minors with the same lattice share one child.
     """
 
     def __init__(self, m: int, step: dict, provenance: str = ""):
@@ -147,6 +151,10 @@ class Matroid:
         # convention -> (view, memo) of the auto degree engine (expansion.py),
         # filled by the first degree query under that convention
         self._degree_memos = {}
+        # (lower, upper) or a deleted element -> (child, MinorMap), and
+        # (provenance, canonical_key()) -> the one child kept with that lattice;
+        # a child holds no reference back to its parent
+        self._minors = {}
         self._size_uniform = None
         self._flat_sizes = None
 
@@ -306,6 +314,9 @@ class Matroid:
             raise NotAFlat("lower flat is not contained in upper flat")
         if self.rank_of_flat(lower) == self.rank_of_flat(upper):
             raise RankCollapse("minor interval has rank 0")
+        got = self._minors.get((lower, upper))
+        if got is not None:
+            return got
         elements = set_of(upper & ~lower)
         position = {e: i for i, e in enumerate(elements)}
         gone = set_of(self.full_mask & ~upper | lower)[::-1]
@@ -317,7 +328,8 @@ class Matroid:
             }
             for g in flats
         }
-        return Matroid(len(elements), step, provenance="minor"), MinorMap(elements)
+        child = Matroid(len(elements), step, provenance="minor")
+        return self._keep_minor((lower, upper), child, MinorMap(elements))
 
     def restriction(self, flat: int):
         return self.minor_interval(0, flat)
@@ -337,6 +349,9 @@ class Matroid:
             raise RankOutOfRange(f"element {i} out of range")
         if self.m == 1:
             raise EmptyInput("cannot delete the last element")
+        got = self._minors.get(i)
+        if got is not None:
+            return got
         bit = 1 << i
         step = {}
         for f, row in self._cover_step.items():
@@ -348,7 +363,13 @@ class Matroid:
             }
         child = Matroid(self.m - 1, step, provenance="deletion")
         elements = tuple(e for e in range(self.m) if e != i)
-        return child, MinorMap(elements, rank_dropped=child.rank_total < self.rank_total)
+        return self._keep_minor(i, child, MinorMap(elements, child.rank_total < self.rank_total))
+
+    def _keep_minor(self, key, child, minor_map):
+        """Memoise the minor under key, reusing a kept child with the same lattice."""
+        child = self._minors.setdefault((child.provenance, child.canonical_key()), child)
+        self._minors[key] = child, minor_map
+        return child, minor_map
 
     def truncate(self, s: int):
         """Drop the top s ranks, keeping the flats below and the ground set."""

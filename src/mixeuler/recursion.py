@@ -14,6 +14,10 @@ other:
 * the generating polynomial whose y^k coefficient shifts every index up by
   k, together with its Tutte convolution and factorization identities.
 
+Minors come from the parent's memo (Matroid.minor_interval, delete_element):
+a repeated call, or a sibling minor with the same lattice, reuses a child
+whose degree memo is already warm.
+
 Throughout, C(v, s) means the degree of the product of gamma_{v_i} times
 gamma_n^s, with value 0 whenever a component leaves 1..n or the length is
 wrong; recursions push vectors out of range freely and rely on that.

@@ -9,15 +9,19 @@ import pytest
 
 from mixeuler import build_projective_geometry, build_uniform
 from mixeuler.catalog import named_catalog
-from mixeuler.expansion import CONVENTIONS, compositions, mixed_eulerian_degree, pvol
+from mixeuler.expansion import (
+    CONVENTIONS,
+    composition_to_indices,
+    compositions,
+    mixed_eulerian_degree,
+    pvol,
+)
 from mixeuler.matroid import Matroid
 
+from test_matroid import fresh, seeded_sparse_paving
+from test_recursion import relation_calls
+
 SMALL = {name: m for name, m in named_catalog().items() if m.m <= 9}
-
-
-def fresh(m):
-    """A new matroid object on the same cover table, with empty memos."""
-    return Matroid(m.m, m._cover_step, m.provenance)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
@@ -96,6 +100,42 @@ def test_queries_leave_no_garbage():
         for c in cs:
             mixed_eulerian_degree(m, c)
         pvol(m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def run_relations(m):
+    """Every relation on every composition in its domain, both conventions."""
+    rng = random.Random(f"relations-{m!r}")
+    for c in compositions(m.r, m.n):
+        vs = composition_to_indices(c)
+        for _, relation, args in relation_calls(m, vs, rng) if vs else ():
+            for convention in CONVENTIONS:
+                relation(m, *args, convention)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_projective_geometry(2, 2), lambda: seeded_sparse_paving(8, 4, 20241101)],
+    ids=["pg:2,2", "sparse paving on 8"],
+)
+def test_minor_memo_dies_without_the_cycle_collector(make):
+    run_relations(make())  # warm-up: imports what the relations use
+    gc.collect()
+    gc.disable()
+    try:
+        m = make()
+        run_relations(m)
+        children = [got for got in m._minors.values() if isinstance(got, Matroid)]
+        assert any(child._degree_memos for child in children)
+        assert any(child._interval_index is not None for child in children)
+        assert any(child._minors for child in children)  # grandchildren, from delcon
+        alive = weakref.ref(m)
+        child_alive = [weakref.ref(child) for child in children]
+        del m, children
+        assert alive() is None
+        assert all(ref() is None for ref in child_alive)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -238,6 +238,104 @@ def test_truncation():
         b.truncate(5)
 
 
+SMALL_CATALOG = {name: m for name, m in named_catalog().items() if m.m <= 8}
+
+
+def fresh(m):
+    """A new matroid object on the same cover table, with empty memos."""
+    return Matroid(m.m, m._cover_step, m.provenance)
+
+
+def minor_calls(m):
+    """(method name, args) of every minor of m: each interval of nested flats
+    of different rank, as a restriction or contraction too when it is one,
+    and each single-element deletion."""
+    flats = [f for level in m.flats_by_rank for f in level]
+    calls = []
+    for lo, hi in product(flats, flats):
+        if lo & hi == lo and m.rank_of_flat(lo) < m.rank_of_flat(hi):
+            calls.append(("minor_interval", (lo, hi)))
+            if lo == 0:
+                calls.append(("restriction", (hi,)))
+            if hi == m.full_mask:
+                calls.append(("contraction", (lo,)))
+    if m.m > 1:
+        calls += [("delete_element", (e,)) for e in range(m.m)]
+    return calls
+
+
+def assert_same_minor(got, want):
+    (child, cmap), (other, omap) = got, want
+    assert child._cover_step == other._cover_step
+    assert child.flats_by_rank == other.flats_by_rank
+    assert child.provenance == other.provenance
+    assert cmap == omap
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CATALOG))
+def test_minors_are_memoised_and_shared(name):
+    m = fresh(SMALL_CATALOG[name])
+    calls = minor_calls(m)
+    first = [getattr(m, method)(*args) for method, args in calls]
+    for (method, args), got in zip(calls, first):
+        again = getattr(m, method)(*args)
+        assert again[0] is got[0] and again[1] == got[1], (method, args)
+        assert_same_minor(got, getattr(fresh(m), method)(*args))
+    by_lattice = {}
+    for child, _ in first:
+        kept = by_lattice.setdefault((child.provenance, child.canonical_key()), child)
+        assert kept is child  # one child per distinct lattice
+    interval = {
+        args: got[0] for (method, args), got in zip(calls, first) if method == "minor_interval"
+    }
+    for (method, args), (child, _) in zip(calls, first):
+        if method == "restriction":
+            assert child is interval[0, args[0]]
+        elif method == "contraction":
+            assert child is interval[args[0], m.full_mask]
+
+
+def bad_minor_calls():
+    """(matroid, method name, args) that must raise, with a minor of each
+    matroid asked first in the warm case."""
+    fano = build_projective_geometry(2, 2)
+    line, other_line = mask_of(FANO_LINES[0]), mask_of(FANO_LINES[1])
+    one = build_boolean(1)
+    return [
+        (fano, "minor_interval", (mask_of([0, 1]), fano.full_mask)),  # lower not a flat
+        (fano, "minor_interval", (0, mask_of([0, 1]))),  # upper not a flat
+        (fano, "minor_interval", (mask_of([1]), other_line)),  # not nested
+        (fano, "minor_interval", (line, other_line)),  # not nested, same rank
+        (fano, "minor_interval", (line, line)),  # rank 0
+        (fano, "minor_interval", (fano.full_mask, fano.full_mask)),
+        (fano, "restriction", (mask_of([0, 1]),)),
+        (fano, "restriction", (0,)),
+        (fano, "contraction", (mask_of([3, 5]),)),
+        (fano, "contraction", (fano.full_mask,)),
+        (fano, "delete_element", (7,)),
+        (fano, "delete_element", (-1,)),
+        (one, "delete_element", (0,)),
+        (one, "delete_element", (1,)),
+    ]
+
+
+def raised(m, method, args):
+    with pytest.raises(Exception) as info:
+        getattr(m, method)(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("case", range(len(bad_minor_calls())))
+def test_minor_errors_on_a_warm_matroid(case):
+    m, method, args = bad_minor_calls()[case]
+    cold = raised(fresh(m), method, args)
+    assert cold[0] in (NotAFlat, RankCollapse, RankOutOfRange, EmptyInput)
+    for warm_method, warm_args in minor_calls(m) or [("restriction", (m.full_mask,))]:
+        getattr(m, warm_method)(*warm_args)
+    assert m._minors
+    assert raised(m, method, args) == cold
+
+
 def test_corank_nullity_counts():
     u = build_uniform(2, 3)
     counts = u.corank_nullity_counts()

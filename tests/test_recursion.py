@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -12,7 +13,12 @@ from mixeuler import (
     build_uniform,
 )
 from mixeuler.errors import PreconditionViolation, RankTooSmall
-from mixeuler.expansion import gamma_product_degree
+from mixeuler.expansion import (
+    CONVENTIONS,
+    composition_to_indices,
+    compositions,
+    gamma_product_degree,
+)
 from mixeuler.recursion import (
     c_degree,
     classify_support,
@@ -23,6 +29,8 @@ from mixeuler.recursion import (
     two_block_degree,
 )
 from mixeuler.tutte import tutte_polynomial
+
+from test_matroid import SMALL_CATALOG, fresh
 
 FANO_LINES = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
 
@@ -262,6 +270,56 @@ def test_two_block_sweep_matches_oracle(convention):
                     want = gamma_product_degree(m, tuple(sorted(v + w)))
                     got = two_block_degree(m, v, w, convention=convention)
                     assert got == want, (name, v, w)
+
+
+# ---------------------------------------------------------------------------
+# warm minors: relations on one shared matroid equal those on fresh ones
+
+
+def relation_calls(m, vs, rng):
+    """(name, relation, arguments before the convention) for each relation
+    whose domain holds the sorted vector vs: eulerian at the first repeat,
+    delcon at s = 0 on a seeded pivot, and two_block at every split of vs
+    into a low and a high block."""
+    calls = []
+    support = classify_support(m, vs)
+    repeat = next((j for j, x in enumerate(vs, 1) if vs.count(x) >= 2), None)
+    if support.flatly_contiguous and repeat:
+        calls.append(("eulerian", eulerian_recursion_degree, (vs, repeat)))
+    if support.contiguous and m.rank_total >= 3:
+        calls.append(("delcon", deletion_contraction_degree, (vs, 0, rng.randrange(m.m))))
+    for ell in range(1, len(vs)):
+        v, w = vs[:ell], vs[ell:]
+        if (
+            v[0] == 1
+            and v[-1] < w[0]
+            and max(m.proper_flat_sizes()) <= w[-1]
+            and classify_support(m, v).flatly_contiguous
+            and classify_support(m, w).flatly_contiguous
+        ):
+            calls.append(("two_block", two_block_degree, (v, w)))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CATALOG))
+def test_warm_relations_match_fresh_matroids_and_flag(name):
+    shared = fresh(SMALL_CATALOG[name])
+    rng = random.Random(f"warm-{name}")
+    cs = list(compositions(shared.r, shared.n))
+    rng.shuffle(cs)
+    ran = set()
+    for c in cs:
+        vs = composition_to_indices(c)
+        calls = relation_calls(shared, vs, rng) if vs else []
+        for convention in CONVENTIONS if calls else ():
+            want = gamma_product_degree(shared, vs, convention, "flag")
+            for pipeline, relation, args in calls:
+                ran.add(pipeline)
+                got = relation(shared, *args, convention)
+                assert got == want, (pipeline, c, convention)
+                assert relation(fresh(shared), *args, convention) == want, (pipeline, c)
+    if shared.rank_total >= 3:
+        assert ran and shared._minors
 
 
 # ---------------------------------------------------------------------------
