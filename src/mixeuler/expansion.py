@@ -31,12 +31,13 @@ Engines:
   then goes to the restriction [lo, G], one above it to the contraction
   [G, hi], and one equal to |G| kills the term. So
   deg(lo, hi, vs) = sum_G w(lo, hi, G, v_1) deg(lo, G, vs_<) deg(G, hi, vs_>).
-  It walks the flats, except on matroids whose proper flats are exactly the
-  small subsets (uniform matroids): there it walks flat sizes, weighting each
-  size by the total weight of its flats. The matroid owns the memo on
-  (lo, hi, vs), one per convention, next to the lattice view the DP walks:
-  every auto query on one matroid reuses the sub-interval degrees of the
-  queries before it, and both die with the matroid.
+  It walks the flats, except on perfect matroid designs (projective
+  geometries, uniform and Boolean matroids), where all flats of one rank
+  have one size: there it walks ranks, weighting each rank by the total
+  weight of its flats in the interval, in closed form. The matroid owns the
+  memo on (lo, hi, vs), one per convention, next to the lattice view the DP
+  walks: every auto query on one matroid reuses the sub-interval degrees of
+  the queries before it, and both die with the matroid.
 * "flag", the term-by-term flag expansion above. It is the reference oracle
   the DP is tested against and the backend of expand_gamma_product.
 
@@ -274,7 +275,7 @@ def expand_gamma_product(matroid: Matroid, v, convention: str = "oi") -> Weighte
 
 # A lattice as the DP walks it. between(lo, hi) lists the nodes strictly
 # inside an interval, each standing for one flat or for all flats of one
-# size; weight(lo, hi, g, val) is the scaled insertion weight of node g,
+# rank; weight(lo, hi, g, val) is the scaled insertion weight of node g,
 # summed over the flats it stands for, and total(lo, hi, g) that weight
 # summed over every val. A view is kept on its matroid, so it holds no
 # reference to the matroid: the matroid dies without the cycle collector.
@@ -290,40 +291,48 @@ def _flat_view(matroid, convention, scale):
     return _View(0, matroid.full_mask, rank.__getitem__, int.bit_count, between, weight, total)
 
 
-def _uniform_gap_weight(lo, hi, g, val, convention, scale):
-    """insertion_weight summed over all flats of size g in a gap, sizes only."""
-    u = hi - lo
-    x = g - lo
+def _rank_view(matroid, convention, scale):
+    """Node k stands for every rank-k flat; None unless each rank has one flat size.
+
+    With n[k] that size, the covers of a rank-i flat inside a rank-b flat
+    split the rest of it into blocks of n[i+1] - n[i] elements. So every
+    interval of ranks a < b has ch[a, b] maximal chains, ch[a, k] * ch[k, b]
+    of them through each of its count[a, k, b] flats of rank k, and each of
+    its top elements lies in count[a + 1, k, b] of these flats. The weights
+    sum over the flats in closed form; they hold sizes and counts, never the
+    matroid.
+    """
+    n = matroid.level_sizes()
+    if n is None:
+        return None
+    ch = {}
+    for b in range(len(n)):
+        ch[b, b] = 1
+        for a in range(b - 1, -1, -1):
+            ch[a, b] = ch[a + 1, b] * ((n[b] - n[a]) // (n[a + 1] - n[a]))
+    count = {(a, k, b): ch[a, b] // (ch[a, k] * ch[k, b]) for a, b in ch for k in range(a, b + 1)}
     if convention == "oi":
-        return scale * ((hi - val) * comb(u - 1, x - 1) - comb(u, x) * max(0, g - val))
-    # mult weights depend on sizes only: any one flat of size g stands for all
-    lo_mask, hi_mask, g_mask = (1 << lo) - 1, (1 << hi) - 1, (1 << g) - 1
-    return comb(u, x) * insertion_weight(lo_mask, hi_mask, g_mask, val, convention, scale)
 
+        def weight(a, b, k, val):
+            return scale * ((n[b] - val) * count[a + 1, k, b] - count[a, k, b] * max(0, n[k] - val))
 
-def _uniform_gap_total(lo, hi, g, convention, scale):
-    """_gap_weight_total summed over all flats of size g in a gap, sizes only."""
-    u = hi - lo
-    x = g - lo
-    if convention == "oi":
-        # each of the u positions 0..u-1 lies in comb(u-1, x-1) of the x-subsets
-        return scale * (comb(u - 1, x - 1) * u * (u - 1) // 2 - comb(u, x) * x * (x - 1) // 2)
-    return comb(u, x) * scale * x * (u - x) // 2
+        def total(a, b, k):
+            u, s = n[b] - n[a], n[k] - n[a]
+            return scale * (count[a + 1, k, b] * u * (u - 1) - count[a, k, b] * s * (s - 1)) // 2
 
+    else:
+        # mult weights depend on sizes only: one flat, as a prefix mask, stands for all
+        mask = [(1 << size) - 1 for size in n]
+        one_weight = partial(insertion_weight, convention=convention, scale=scale)
+        one_total = partial(_gap_weight_total, convention=convention, scale=scale)
 
-def _size_view(matroid, convention, scale):
-    """Node s stands for every flat of size s; proper flats have rank s."""
-    m = matroid.m
-    rank_total = matroid.rank_total
-    rank = {s: s for s in range(m)}
-    rank[m] = rank_total
+        def weight(a, b, k, val):
+            return count[a, k, b] * one_weight(mask[a], mask[b], mask[k], val)
 
-    def between(lo, hi):
-        return range(lo + 1, min(hi, rank_total))
+        def total(a, b, k):
+            return count[a, k, b] * one_total(mask[a], mask[b], mask[k])
 
-    weight = partial(_uniform_gap_weight, convention=convention, scale=scale)
-    total = partial(_uniform_gap_total, convention=convention, scale=scale)
-    return _View(0, m, rank.__getitem__, int, between, weight, total)
+    return _View(0, len(n) - 1, int, n.__getitem__, lambda a, b: range(a + 1, b), weight, total)
 
 
 def _pick_view(matroid, convention, engine):
@@ -338,8 +347,8 @@ def _pick_view(matroid, convention, engine):
         return None
     state = matroid._degree_memos.get(convention)
     if state is None:
-        make = _size_view if matroid.is_size_uniform() else _flat_view
-        view = make(matroid, convention, weight_scale(matroid.m, convention))
+        scale = weight_scale(matroid.m, convention)
+        view = _rank_view(matroid, convention, scale) or _flat_view(matroid, convention, scale)
         state = matroid._degree_memos[convention] = (view, {})
     return state
 

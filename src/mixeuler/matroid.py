@@ -155,7 +155,6 @@ class Matroid:
         # (provenance, canonical_key()) -> the one child kept with that lattice;
         # a child holds no reference back to its parent
         self._minors = {}
-        self._size_uniform = None
         self._flat_sizes = None
 
     # -- lattice plumbing ------------------------------------------------
@@ -268,22 +267,16 @@ class Matroid:
             raise RankOutOfRange(f"element {i} out of range")
         return self.rank(self.full_mask ^ (1 << i)) == self.rank_total - 1
 
-    def is_size_uniform(self) -> bool:
-        """True when the proper flats are exactly the small subsets.
+    def level_sizes(self):
+        """The one flat size of each rank 0..rank_total, or None when a rank has two.
 
-        Degree computations may then aggregate chains by size sequence.
+        A simple matroid with one size per rank is a perfect matroid design.
         """
-        if self._size_uniform is None:
-            ok = True
-            for k in range(1, self.rank_total):
-                level = self.flats_by_rank[k]
-                if len(level) != comb(self.m, k) or any(
-                    f.bit_count() != k for f in level
-                ):
-                    ok = False
-                    break
-            self._size_uniform = ok
-        return self._size_uniform
+        sizes = tuple(level[0].bit_count() for level in self.flats_by_rank)
+        for size, level in zip(sizes, self.flats_by_rank):
+            if any(f.bit_count() != size for f in level):
+                return None
+        return sizes
 
     def canonical_key(self):
         return (self.m, self.rank_total, self.flats_by_rank)

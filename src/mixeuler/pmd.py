@@ -60,20 +60,23 @@ def pmd_profile(matroid: Matroid) -> PmdProfile:
     raises NotPMD otherwise, naming a witness pair of same-rank flats with
     different sizes when sizes are the obstruction.
     """
-    sizes = []
-    for k in range(1, matroid.rank_total):
-        level = matroid.flats_by_rank[k]
-        first = level[0].bit_count()
-        for f in level[1:]:
-            if f.bit_count() != first:
-                raise NotPMD(
-                    f"rank {k} flats {set_of(level[0])} and {set_of(f)} "
-                    f"have sizes {first} and {f.bit_count()}"
-                )
-        sizes.append(first)
+    levels = matroid.level_sizes()
+    if levels is None:
+        # only to name the witness, once the check has failed
+        k, first, f = next(
+            (k, level[0], f)
+            for k, level in enumerate(matroid.flats_by_rank)
+            for f in level
+            if f.bit_count() != level[0].bit_count()
+        )
+        raise NotPMD(
+            f"rank {k} flats {set_of(first)} and {set_of(f)} "
+            f"have sizes {first.bit_count()} and {f.bit_count()}"
+        )
+    sizes = levels[1:-1]
     if sizes and sizes[0] != 1:
         raise NotPMD("parallel elements present; rank-1 flats must be points")
-    n_ext = (0,) + tuple(sizes) + (matroid.m,)
+    n_ext = (0,) + sizes + (matroid.m,)
     counts = []
     scale = Fraction(1)
     for i in range(1, len(sizes) + 1):
@@ -82,7 +85,7 @@ def pmd_profile(matroid: Matroid) -> PmdProfile:
             n_i *= Fraction(n_ext[i + 1] - n_ext[j], n_ext[i] - n_ext[j])
         counts.append(int(n_i) if n_i.denominator == 1 else n_i)
         scale *= n_i * Fraction(n_ext[i + 1] - n_ext[i], n_ext[i + 1])
-    return PmdProfile(tuple(sizes), tuple(counts), scale)
+    return PmdProfile(sizes, tuple(counts), scale)
 
 
 def lopsided_degree(matroid: Matroid, c) -> int:

@@ -118,43 +118,44 @@ def enumerate_trees(matroid: Matroid, v, convention: str = "oi"):
         raise VOutOfRange(f"unknown weight convention {convention!r}")
     vs = tuple(v)
     _validate_product(matroid, vs)
-    full = matroid.full_mask
     out = []
-
-    # state: chain of masks, labels in search order, parent/side per label
-    def step(chain, order, parent, side, depth):
-        if depth == len(vs):
-            tree = PostnikovTree(order, chain, parent, side)
-            w = tree_weight(matroid, tree, vs, convention)
-            if w:
-                out.append((tree, w))
-            return
-        idx = _find_gap(chain, vs[depth])
-        if idx is None:
-            return
-        lo = chain[idx - 1] if idx else 0
-        hi = chain[idx] if idx < len(chain) else full
-        label = depth + 1
-        # the new vertex hangs off the more recently inserted neighbor
-        left_lab = order[idx - 1] if idx else 0
-        right_lab = order[idx] if idx < len(order) else 0
-        if left_lab == 0 and right_lab == 0:
-            p, s = 0, "root"
-        elif left_lab > right_lab:
-            p, s = left_lab, "right"
-        else:
-            p, s = right_lab, "left"
-        for g in matroid.flats_strictly_between(lo, hi):
-            step(
-                chain[:idx] + (g,) + chain[idx:],
-                order[:idx] + (label,) + order[idx:],
-                parent + (p,),
-                side + (s,),
-                depth + 1,
-            )
-
-    step((), (), (), (), 0)
+    _grow_trees(matroid, vs, convention, out, (), (), (), ())
     return out
+
+
+def _grow_trees(matroid, vs, convention, out, chain, order, parent, side):
+    """Append to out every tree for vs that grows from a partial one.
+
+    The partial tree is its chain of flats, its labels in search order and
+    the parent and side of each label. Module-level, as is _deg in
+    expansion, so that no call leaves a cycle.
+    """
+    depth = len(order)
+    if depth == len(vs):
+        tree = PostnikovTree(order, chain, parent, side)
+        w = tree_weight(matroid, tree, vs, convention)
+        if w:
+            out.append((tree, w))
+        return
+    idx = _find_gap(chain, vs[depth])
+    if idx is None:
+        return
+    lo = chain[idx - 1] if idx else 0
+    hi = chain[idx] if idx < len(chain) else matroid.full_mask
+    label = depth + 1
+    # the new vertex hangs off the more recently inserted neighbor
+    left_lab = order[idx - 1] if idx else 0
+    right_lab = order[idx] if idx < len(order) else 0
+    if left_lab == 0 and right_lab == 0:
+        p, s = 0, "root"
+    elif left_lab > right_lab:
+        p, s = left_lab, "right"
+    else:
+        p, s = right_lab, "left"
+    for g in matroid.flats_strictly_between(lo, hi):
+        chain_g = chain[:idx] + (g,) + chain[idx:]
+        order_g = order[:idx] + (label,) + order[idx:]
+        _grow_trees(matroid, vs, convention, out, chain_g, order_g, parent + (p,), side + (s,))
 
 
 def aggregate_by_flag(terms):

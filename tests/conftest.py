@@ -4,8 +4,8 @@ from mixeuler import expansion
 
 
 @pytest.fixture
-def size_view_only(monkeypatch):
-    """Make the auto engine fail unless it takes the size view.
+def rank_view_only(monkeypatch):
+    """Make the auto engine fail unless it takes the rank view.
 
     Only matroids built during the test are held to it: the auto engine
     picks a view at a matroid's first query and keeps it on the matroid.

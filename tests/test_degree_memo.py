@@ -7,7 +7,7 @@ from itertools import cycle, islice
 
 import pytest
 
-from mixeuler import build_projective_geometry, build_uniform
+from mixeuler import build_projective_geometry, build_sparse_paving, build_uniform
 from mixeuler.catalog import named_catalog
 from mixeuler.expansion import (
     CONVENTIONS,
@@ -55,8 +55,13 @@ def test_one_memo_per_convention():
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: build_projective_geometry(2, 2), lambda: build_uniform(3, 6)],
-    ids=["flat view", "size view"],
+    "make",
+    [
+        lambda: build_sparse_paving(3, 6, [(0, 1, 2), (3, 4, 5)]),
+        lambda: build_projective_geometry(3, 2),
+        lambda: build_uniform(3, 6),
+    ],
+    ids=["flat view", "rank view pg:3,2", "rank view uniform:3,6"],
 )
 def test_memo_dies_without_the_cycle_collector(make):
     gc.collect()
@@ -68,7 +73,7 @@ def test_memo_dies_without_the_cycle_collector(make):
                 mixed_eulerian_degree(m, c, conv)
             pvol(m, conv)
             assert m._degree_memos[conv][1]
-        m.flats_strictly_between(0, m.full_mask)  # the size view never builds the index
+        m.flats_strictly_between(0, m.full_mask)  # the rank view never builds the index
         assert m._interval_index is not None
         alive = weakref.ref(m)
         del m

@@ -1,4 +1,4 @@
-"""Flag expansion, weights, degrees, and the size-sequence fast path."""
+"""Flag expansion, weights, degrees, and the rank view on uniform matroids."""
 
 import gc
 import random
@@ -138,9 +138,10 @@ def _build(spec):
 
 @pytest.mark.parametrize("spec,c,want", FROZEN)
 @pytest.mark.parametrize("convention", ["oi", "mult"])
-# the auto engine, held to the size view by the size_view_only fixture
+# the auto engine, held to the rank view by the rank_view_only fixture; the
+# id "sizes" stays so that the test ids stay stable
 @pytest.mark.parametrize("engine", ["flag", pytest.param("auto", id="sizes")])
-def test_frozen_boolean_degrees(spec, c, want, convention, engine, size_view_only):
+def test_frozen_boolean_degrees(spec, c, want, convention, engine, rank_view_only):
     assert mixed_eulerian_degree(_build(spec), c, convention, engine) == want
 
 
@@ -178,7 +179,7 @@ def test_degree_is_order_invariant():
         assert deg == base
 
 
-def test_sizes_engine_matches_flag_engine_exhaustively(size_view_only):
+def test_sizes_engine_matches_flag_engine_exhaustively(rank_view_only):
     for rank, m in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (2, 6), (5, 5)):
         M = build_uniform(rank, m)
         for c in compositions(M.r, M.n):
@@ -188,7 +189,7 @@ def test_sizes_engine_matches_flag_engine_exhaustively(size_view_only):
                 ), (rank, m, c, conv)
 
 
-def test_sizes_engine_matches_flag_engine_sampled_large(size_view_only):
+def test_sizes_engine_matches_flag_engine_sampled_large(rank_view_only):
     rng = random.Random(99)
     for rank, m in ((4, 7), (5, 7), (7, 7), (4, 8)):
         M = build_uniform(rank, m)

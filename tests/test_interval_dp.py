@@ -2,12 +2,17 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import factorial, lcm, prod
+from operator import mul
 
 import pytest
 
 from mixeuler import (
+    Matroid,
+    bits_of,
     build_boolean,
+    build_from_flats,
     build_projective_geometry,
     build_sparse_paving,
     build_uniform,
@@ -57,22 +62,22 @@ def test_flat_view_matches_flag_on_catalog():
     small = [
         m
         for m in named_catalog().values()
-        if m.m <= 9 and not m.is_size_uniform()
+        if m.m <= 9 and m.level_sizes() is None
     ]
-    assert len(small) == 3  # fano and the two relaxations of U(3,6)
+    assert len(small) == 2  # the two relaxations of U(3,6); fano takes the rank view
     for m in small:
         assert_dp_matches_flag(m)
 
 
 @pytest.mark.parametrize("m", [build_boolean(5), build_uniform(3, 6)], ids=repr)
-def test_size_view_matches_flag(m, size_view_only):
+def test_rank_view_matches_flag(m, rank_view_only):
     assert_dp_matches_flag(m)
 
 
 @pytest.mark.parametrize("seed", SPARSE_PAVING_SEEDS)
 def test_random_sparse_paving_dp_flag_localization_agree(seed):
     m = random_sparse_paving(seed)
-    assert m.m <= 8 and not m.is_size_uniform()
+    assert m.m <= 8 and m.level_sizes() is None
     for c in compositions(m.r, m.n):
         want = gamma_degree_via_localization(m, c)
         for conv in ("oi", "mult"):
@@ -196,13 +201,135 @@ def test_gap_weight_total_is_the_sum_over_class_indices():
     assert cases > 10_000
 
 
-@pytest.mark.parametrize("m", [build_boolean(6), build_uniform(4, 8)], ids=repr)
-def test_size_view_total_is_the_sum_over_class_indices(m):
+@pytest.mark.parametrize(
+    "m",
+    [build_boolean(6), build_uniform(4, 8), build_projective_geometry(3, 2), build_projective_geometry(2, 3)],
+    ids=repr,
+)
+def test_rank_view_total_is_the_sum_over_class_indices(m):
     for conv in CONVENTIONS:
-        view = expansion._size_view(m, conv, weight_scale(m.m, conv))
-        nodes = (*range(m.rank_total), m.m)
+        view = expansion._rank_view(m, conv, weight_scale(m.m, conv))
+        nodes = range(m.rank_total + 1)
         for lo in nodes:
             for hi in nodes:
                 for g in view.between(lo, hi):
-                    want = sum(view.weight(lo, hi, g, val) for val in range(lo + 1, hi))
+                    vals = range(view.size(lo) + 1, view.size(hi))
+                    want = sum(view.weight(lo, hi, g, val) for val in vals)
                     assert view.total(lo, hi, g) == want, (conv, lo, hi, g)
+
+
+# -- the rank view on matroids with one flat size per rank ------------------------
+
+
+def doubled(m):
+    """m with every element x replaced by the parallel pair 2x, 2x + 1."""
+    levels = [[[e for x in bits_of(f) for e in (2 * x, 2 * x + 1)] for f in level] for level in m.flats_by_rank]
+    return build_from_flats(2 * m.m, levels)
+
+
+def table_kind_sparse_paving(size):
+    """Rank 4 on size elements with three circuit-hyperplanes, as in the table benchmark."""
+    chosen = []
+    for cand in combinations(range(size), 4):
+        if all(len(set(cand) & set(other)) <= 2 for other in chosen):
+            chosen.append(cand)
+    return build_sparse_paving(4, size, chosen[:3])
+
+
+NOT_RANK_UNIFORM = ("sp361", "sp362")
+
+
+def rank_view_cases():
+    """Every catalog matroid with one flat size per rank, larger geometries and
+    two matroids with doubled points, by name."""
+    named = [(name, m) for name, m in named_catalog().items() if name not in NOT_RANK_UNIFORM]
+    named += [
+        ("pg:2,5", build_projective_geometry(2, 5)),
+        ("pg:3,3", build_projective_geometry(3, 3)),
+        ("doubled u34", doubled(build_uniform(3, 4))),
+        ("doubled fano", doubled(build_projective_geometry(2, 2))),
+    ]
+    return [pytest.param(m, id=name) for name, m in named]
+
+
+@pytest.mark.parametrize("m", rank_view_cases())
+def test_rank_view_is_picked(m, rank_view_only):
+    m = Matroid(m.m, m._cover_step, m.provenance)
+    assert m.level_sizes() is not None
+    for conv in CONVENTIONS:
+        mixed_eulerian_degree(m, next(compositions(m.r, m.n)), conv)
+        view = m._degree_memos[conv][0]
+        assert (view.bottom, view.top) == (0, m.rank_total)
+        assert view.size(view.top) == m.m
+
+
+def test_doubled_points_are_not_simple():
+    m = doubled(build_uniform(3, 4))
+    assert m.level_sizes() == (0, 2, 4, 8)
+    assert [len(level) for level in m.flats_by_rank] == [1, 4, 6, 1]
+
+
+@pytest.mark.parametrize("size", [9, 10])
+def test_flat_view_is_picked_on_sparse_paving(monkeypatch, size):
+    picked = []
+
+    def flat_view(*args):
+        picked.append(args[1])
+        return flat(*args)
+
+    flat = expansion._flat_view
+    monkeypatch.setattr(expansion, "_flat_view", flat_view)
+    m = table_kind_sparse_paving(size)
+    assert m.level_sizes() is None
+    for conv in CONVENTIONS:
+        mixed_eulerian_degree(m, next(compositions(m.r, m.n)), conv)
+    assert picked == list(CONVENTIONS)
+
+
+def all_degrees(m, convention, engine="auto"):
+    """Every A_c(m) under convention, then pvol."""
+    cs = compositions(m.r, m.n)
+    return [mixed_eulerian_degree(m, c, convention, engine) for c in cs] + [pvol(m, convention, engine)]
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("m", rank_view_cases())
+def test_rank_view_matches_flat_view_and_flag(m, convention, monkeypatch):
+    by_rank = all_degrees(Matroid(m.m, m._cover_step, m.provenance), convention)
+    with monkeypatch.context() as patch:
+        patch.setattr(expansion, "_rank_view", lambda *args: None)
+        by_flat = all_degrees(Matroid(m.m, m._cover_step, m.provenance), convention)
+    assert by_rank == by_flat
+    if m.m <= 15:
+        # pvol is the multinomial-weighted sum of the degrees
+        cs = list(compositions(m.r, m.n))
+        by_flag = [mixed_eulerian_degree(m, c, convention, "flag") for c in cs]
+        multinomials = [factorial(m.r) // prod(map(factorial, c)) for c in cs]
+        assert by_rank == by_flag + [sum(map(mul, multinomials, by_flag))]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [build_projective_geometry(2, 3), build_projective_geometry(3, 2), build_uniform(4, 7), doubled(build_uniform(3, 4))],
+    ids=repr,
+)
+def test_rank_view_weights_sum_the_flat_weights(m):
+    """Each node's weight and total are those of its flats, on every interval."""
+    rank = m.rank_of_flat
+    flats = [f for level in m.flats_by_rank for f in level]
+    for conv in CONVENTIONS:
+        scale = weight_scale(m.m, conv)
+        view = expansion._rank_view(m, conv, scale)
+        for lo in flats:
+            for hi in flats:
+                if lo & hi != lo or lo == hi:
+                    continue
+                a, b = rank(lo), rank(hi)
+                inside = m.flats_strictly_between(lo, hi)
+                for k in view.between(a, b):
+                    level = [g for g in inside if rank(g) == k]
+                    for val in range(lo.bit_count() + 1, hi.bit_count()):
+                        want = sum(insertion_weight(lo, hi, g, val, conv, scale) for g in level)
+                        assert view.weight(a, b, k, val) == want, (conv, lo, hi, k, val)
+                    want = sum(expansion._gap_weight_total(lo, hi, g, conv, scale) for g in level)
+                    assert view.total(a, b, k) == want, (conv, lo, hi, k)

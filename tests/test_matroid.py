@@ -43,7 +43,7 @@ def test_uniform_flat_counts():
     m = build_uniform(3, 5)
     assert [len(level) for level in m.flats_by_rank] == [1, 5, 10, 1]
     assert m.n == 4 and m.r == 2
-    assert m.is_size_uniform()
+    assert m.level_sizes() == (0, 1, 2, 5)
 
 
 def test_boolean_is_uniform_on_full_rank():
@@ -203,7 +203,7 @@ def test_delete_element():
     f = build_projective_geometry(2, 2)
     d, dmap = f.delete_element(6)
     assert d.m == 6 and d.rank_total == 3
-    assert not d.is_size_uniform()
+    assert d.level_sizes() is None  # lines of 3 and of 2 points
     u = build_uniform(2, 2)
     d2, dmap2 = u.delete_element(0)
     assert d2.m == 1 and d2.rank_total == 1

@@ -239,7 +239,7 @@ class TestProjectiveIdentity:
         assert pg_identity_check(2, 2, (1, 1)) == (24, 24, True)
         assert pg_identity_check(2, 2, (2, 0)) == (8, 8, True)
 
-    @pytest.mark.parametrize("r,q", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("r,q", [(2, 2), (2, 3), (3, 2), (2, 5), (3, 3), (4, 2)])
     def test_holds_across_all_exponents(self, r, q):
         for c in compositions(r, r):
             lhs, rhs, ok = pg_identity_check(r, q, c)
@@ -248,6 +248,16 @@ class TestProjectiveIdentity:
     def test_nonprime_rejected(self):
         with pytest.raises(NonPrimeQ):
             pg_identity_check(2, 4, (1, 1))
+
+
+@pytest.mark.parametrize("r,q", [(2, 5), (3, 3), (4, 2)])
+def test_lopsided_matches_the_dp_on_larger_geometries(r, q):
+    geometry = build_projective_geometry(r, q)
+    profile = pmd_profile(geometry)
+    lopsided = [c for c in compositions(r, r) if is_lopsided(c)]
+    assert lopsided
+    for c in lopsided:
+        assert lopsided_degree(geometry, c) == bridged_degree(geometry, profile, c), c
 
 
 class TestExchangeRelation:

@@ -1,6 +1,8 @@
 """Flat-filled tree enumeration against the flag expansion."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -123,3 +125,20 @@ def test_compatibility_rejects_wrong_vector():
     # second vertex sits right of a size-1 flat, so its index must exceed 1
     assert not t0.is_compatible(m, (1, 1))
     assert not t0.is_compatible(m, (1,))
+
+
+def test_enumeration_leaves_no_cycle():
+    # the enumeration recurses through a module-level function, so the
+    # matroid dies at del without the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        m = build_projective_geometry(2, 2)
+        terms = enumerate_trees(m, (1, 3))
+        assert sum(w for _, w in terms) == 24  # deg(gamma_1 gamma_3) on the Fano plane
+        alive = weakref.ref(m)
+        del m, terms
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
