@@ -14,10 +14,20 @@ Each matching permutation contributes (-1)^des(w), and the total carries a
 global factor (-1)^n: the fixed-point denominator is a product of n edge
 differences whose orientation convention costs one sign each. The law is
 checked once against the flag engine on a rank-2 pair covering both
-parities of n, and asserted against it everywhere else in tests. The
-permutations are tallied once per matroid by jump set, then by descent set;
-the target depends only on d and the jump set, so a monomial costs one
-lookup per jump set.
+parities of n, and asserted against it everywhere else in tests.
+
+The permutations are tallied once per matroid, without visiting all m! of
+them: a DP over prefixes, layer by layer, keeps one state per set of used
+images and last image, with a signed count per (jump mask, descent mask).
+Whether a position jumps depends only on the set before it, so each set is
+closed once. The finished table is keyed by jump counts
+kc_K(i) = |K & [0, i]| and descent bitmasks. Since c_0 + ... + c_i equals
+P_d(i) + i + 1 - kc_K(i), with P_d the prefix sums of d, the target is the
+bitmask of the i < n where P_d(i) < kc_K(i), and a monomial costs one
+dictionary lookup per jump class. A gamma product expands into lambda
+monomials by a walk over their prefix sums; the value of each monomial is
+memoised beside the table. Table and memo live in a weak-keyed cache entry
+that dies with its matroid.
 
 The per-permutation constant-term lemma behind this is also implemented
 directly (`series_constant_term`) by eliminating xi_{w(0)}, ..., xi_{w(n)}
@@ -30,8 +40,8 @@ from __future__ import annotations
 
 import weakref
 from collections import namedtuple
-from itertools import combinations_with_replacement
-from math import factorial
+from itertools import accumulate
+from math import comb
 
 from .errors import (
     ExponentMismatch,
@@ -129,16 +139,16 @@ def descent_target(d, k_set) -> DescentTarget:
 
 
 # ---------------------------------------------------------------------------
-# signed permutation classes, grouped by jump set, then by descent set
+# signed permutation classes, grouped by jump counts, then by descent mask
 
 _CLASS_CACHE = weakref.WeakKeyDictionary()  # an entry dies with its matroid
 
 
-def _perm_classes(matroid: Matroid) -> dict:
-    """Map k_set -> {descents: sum of (-1)^des over the matching w}.
+def _class_entry(matroid: Matroid) -> tuple:
+    """(table, memo) of the matroid: its class table and its descent sums.
 
-    Walks the prefix tree of permutations so each closure is computed once
-    per tree node rather than once per permutation.
+    memo maps the prefix sums of an exponent vector to _raw_descent_sum's
+    value; both are filled on first use and die with the matroid.
     """
     if matroid.m > MAX_GROUND_SET:
         raise SizeViolation(
@@ -146,61 +156,89 @@ def _perm_classes(matroid: Matroid) -> dict:
             f"got {matroid.m}"
         )
     hit = _CLASS_CACHE.get(matroid)
-    if hit is not None:
-        return hit
-    classes: dict = {}
-    _grow(matroid.closure, matroid.full_mask, classes, 0, 0, -1, 0, (), frozenset(), 0)
-    _CLASS_CACHE[matroid] = classes
-    return classes
+    if hit is None:
+        hit = _CLASS_CACHE[matroid] = (_class_table(matroid), {})
+    return hit
 
 
-def _grow(
-    closure, full, classes, used_mask, closure_mask, last_img, pos, k_set, des_set, des_parity
-):
-    """One node of the walk of _perm_classes, tallying its leaves into classes.
+def _class_table(matroid: Matroid) -> tuple:
+    """Pairs (jump counts, {descent mask: sum of (-1)^des over the matching w}).
 
-    A module-level function, not a closure: a nested recursive function
-    refers to itself and to the matroid, a cycle that keeps the matroid and
-    its cache entry alive until the cyclic collector runs.
+    The jump counts of a jump set K are |K & [0, i]| for the positions
+    i < n. A layer-by-layer DP over permutation prefixes: a state is the set
+    of images used and the last one, and maps (jump mask << m | descent
+    mask) to a signed count. Whether position pos jumps depends only on the
+    set before it (the image jumps unless it lies in that set's closure),
+    so each set is closed once.
     """
-    if used_mask == full:
-        by_des = classes.setdefault(k_set, {})
-        by_des[des_set] = by_des.get(des_set, 0) + (1 - 2 * (des_parity & 1))
-        return
-    remaining = full & ~used_mask
-    while remaining:
-        bit = remaining & -remaining
-        remaining &= remaining - 1
-        img = bit.bit_length() - 1
-        nxt = closure_mask if bit & closure_mask else closure(closure_mask | bit)
-        new_k = k_set + (pos,) if nxt != closure_mask else k_set
-        desc = pos > 0 and last_img > img
-        _grow(
-            closure,
-            full,
-            classes,
-            used_mask | bit,
-            nxt,
-            img,
-            pos + 1,
-            new_k,
-            des_set | {pos - 1} if desc else des_set,
-            des_parity + (1 if desc else 0),
+    m, n = matroid.m, matroid.n
+    closure, full = matroid.closure, matroid.full_mask
+    closed = {}
+    layer = {(0, -1): {0: 1}}
+    for pos in range(m):
+        nxt: dict = {}
+        for (used, last), tallies in layer.items():
+            span = closed.get(used)
+            if span is None:
+                span = closed[used] = closure(used)
+            rest = full & ~used
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                img = bit.bit_length() - 1
+                add = 0 if bit & span else 1 << (m + pos)
+                desc = last > img
+                if desc:
+                    add |= 1 << (pos - 1)
+                into = nxt.setdefault((used | bit, img), {})
+                for code, cnt in tallies.items():
+                    code |= add
+                    into[code] = into.get(code, 0) + (-cnt if desc else cnt)
+        layer = nxt
+    table: dict = {}
+    for tallies in layer.values():
+        for code, cnt in tallies.items():
+            jumps = code >> m
+            counts = tuple((jumps & ((2 << i) - 1)).bit_count() for i in range(n))
+            by_des = table.setdefault(counts, {})
+            des = code & ((1 << m) - 1)
+            by_des[des] = by_des.get(des, 0) + cnt
+    return tuple(table.items())
+
+
+def _prefix_sums(d) -> tuple:
+    """Running sums of d below its last position."""
+    return tuple(accumulate(d))[:-1]
+
+
+def _target_mask(prefix, counts) -> int:
+    """descent_target as a bitmask, from the exponents' prefix sums and
+    the jump counts of the jump set: position i is in the target when
+    prefix[i] < counts[i]."""
+    out = 0
+    for i, (p, k) in enumerate(zip(prefix, counts)):
+        if p < k:
+            out |= 1 << i
+    return out
+
+
+def _raw_descent_sum(entry: tuple, prefix: tuple) -> int:
+    """Sum of (-1)^des over permutations whose descents hit the target of
+    the exponents with these prefix sums: one lookup per class of the
+    entry's table, memoised in the entry."""
+    table, memo = entry
+    got = memo.get(prefix)
+    if got is None:
+        got = memo[prefix] = sum(
+            by_des.get(_target_mask(prefix, counts), 0) for counts, by_des in table
         )
+    return got
 
 
 # ---------------------------------------------------------------------------
 # sign calibration
 
 _SIGN_CHECKED = False
-
-
-def _raw_descent_sum(classes: dict, d) -> int:
-    """Sum of (-1)^des over permutations whose descents hit the target:
-    one lookup per jump set of the grouped table `classes`."""
-    return sum(
-        by_des.get(descent_target(d, k).indices, 0) for k, by_des in classes.items()
-    )
 
 
 def _global_sign(matroid: Matroid) -> int:
@@ -216,7 +254,7 @@ def _global_sign(matroid: Matroid) -> int:
         for rank, size, d, v in [(2, 3, (0, 0, 1), (2,)), (2, 4, (0, 0, 0, 1), (3,))]:
             m = build_uniform(rank, size)
             want = gamma_product_degree(m, v, engine="flag")
-            got = (-1) ** m.n * _raw_descent_sum(_perm_classes(m), d)
+            got = (-1) ** m.n * _raw_descent_sum(_class_entry(m), _prefix_sums(d))
             if got != want:
                 raise InternalError(
                     f"sign law check failed on U_{{{rank},{size}}}: {got} != {want}"
@@ -238,41 +276,31 @@ def lambda_monomial_degree(matroid: Matroid, d) -> int:
         raise ExponentMismatch(
             f"exponents must sum to {matroid.r}, got {sum(ds)}"
         )
-    return _global_sign(matroid) * _raw_descent_sum(_perm_classes(matroid), ds)
+    return _global_sign(matroid) * _raw_descent_sum(_class_entry(matroid), _prefix_sums(ds))
 
 
 def gamma_degree_via_localization(matroid: Matroid, c) -> int:
     """Degree of gamma_1^c_1 ... gamma_n^c_n through the descent formula.
 
-    Each gamma_k splits as lambda_k + ... + lambda_n; the product expands
-    into lambda-exponent vectors, each evaluated by one lookup per jump set
-    in the grouped table of permutation classes.
+    Each gamma_k splits as lambda_k + ... + lambda_n. A lambda-exponent
+    vector d takes its weight from the c_1 + ... + c_j factors that may
+    land on lambda_j, less the P_{j-1} = d_0 + ... + d_{j-1} already
+    placed: the product of C(c_1 + ... + c_j - P_{j-1}, d_j). The walk runs
+    over prefix sums; d_n takes what is left, in one way.
     """
     n = matroid.n
     cs = check_composition(c, n, matroid.r)
     sign = _global_sign(matroid)
-    # multiset expansion of prod_k (lambda_k + ... + lambda_n)^(c_k), each
-    # multiset weighted by its multinomial coefficient
-    expansions = {(0,) * (n + 1): 1}
-    for k in range(1, n + 1):
-        if not cs[k - 1]:
-            continue
-        nxt: dict = {}
-        for pick in combinations_with_replacement(range(k, n + 1), cs[k - 1]):
-            ways = factorial(cs[k - 1])
-            for j in set(pick):
-                ways //= factorial(pick.count(j))
-            for d, cnt in expansions.items():
-                bumped = list(d)
-                for j in pick:
-                    bumped[j] += 1
-                key = tuple(bumped)
-                nxt[key] = nxt.get(key, 0) + cnt * ways
-        expansions = nxt
-    classes = _perm_classes(matroid)
-    return sign * sum(
-        cnt * _raw_descent_sum(classes, d) for d, cnt in expansions.items()
-    )
+    entry = _class_entry(matroid)
+    walks = [((), 0, 1)]  # prefix sums so far, their last value, weight
+    for avail in tuple(accumulate((0,) + cs))[:n]:
+        nxt = []
+        for prefix, placed, w in walks:
+            free = avail - placed
+            for dj in range(free + 1):
+                nxt.append((prefix + (placed + dj,), placed + dj, w * comb(free, dj)))
+        walks = nxt
+    return sign * sum(w * _raw_descent_sum(entry, prefix) for prefix, _, w in walks)
 
 
 # ---------------------------------------------------------------------------

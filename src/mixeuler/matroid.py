@@ -151,6 +151,10 @@ class Matroid:
         # convention -> (view, memo) of the auto degree engine (expansion.py),
         # filled by the first degree query under that convention
         self._degree_memos = {}
+        # (T_M(1, y), the Boolean matroid of the same rank) of
+        # recursion.cv_via_tutte_convolution, set by its first call; the
+        # Boolean keeps its own degree memo warm across calls
+        self._convolution = None
         # (lower, upper) or a deleted element -> (child, MinorMap), and
         # (provenance, canonical_key()) -> the one child kept with that lattice;
         # a child holds no reference back to its parent

@@ -306,6 +306,7 @@ def cv_via_tutte_convolution(matroid: Matroid, v, convention: str = "oi") -> int
 
     For contiguous sorted v: sum over j < v_1 of the y^j coefficient of
     T_M(1, y) times C(v - j*1, 0) of the Boolean matroid of the same rank.
+    Both are kept on the matroid and die with it.
     """
     from .matroid import build_boolean
 
@@ -320,8 +321,12 @@ def cv_via_tutte_convolution(matroid: Matroid, v, convention: str = "oi") -> int
         raise PreconditionViolation("index entries must be positive")
     if not classify_support(matroid, vs).contiguous:
         raise PreconditionViolation("support must be an integer interval")
-    t1y = tutte_polynomial(matroid).specialize_y(1)
-    boolean = build_boolean(matroid.rank_total)
+    if matroid._convolution is None:
+        matroid._convolution = (
+            tutte_polynomial(matroid).specialize_y(1),
+            build_boolean(matroid.rank_total),
+        )
+    t1y, boolean = matroid._convolution
     total = 0
     for j in range(vs[0]):
         coef = t1y[j]

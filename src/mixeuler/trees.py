@@ -11,8 +11,11 @@ in either the oi or mult convention, to the monomial of its image flag.
 Enumeration runs the flag expansion itself while recording where each flat
 lands in the chain; the insertion positions determine the tree uniquely
 (new vertex hangs off the more recently inserted of its two neighbors).
-Weights are recomputed from the finished tree, not carried along, so the
-aggregation tests genuinely cross-check the expansion engine.
+Under oi, a flat whose insertion weight into its gap is zero is skipped at
+once: its gap neighbors are the ones the finished tree assigns that vertex,
+so every tree grown from it would weigh zero (mult weights are never zero).
+Weights are still recomputed from each finished tree, not carried along, so
+the aggregation tests genuinely cross-check the expansion engine.
 """
 
 from __future__ import annotations
@@ -137,7 +140,8 @@ def _grow_trees(matroid, vs, convention, out, chain, order, parent, side):
         if w:
             out.append((tree, w))
         return
-    idx = _find_gap(chain, vs[depth])
+    val = vs[depth]
+    idx = _find_gap(chain, val)
     if idx is None:
         return
     lo = chain[idx - 1] if idx else 0
@@ -153,6 +157,11 @@ def _grow_trees(matroid, vs, convention, out, chain, order, parent, side):
     else:
         p, s = right_lab, "left"
     for g in matroid.flats_strictly_between(lo, hi):
+        # the finished tree reads the same lo and hi for this vertex, so a
+        # zero here makes its weight zero; a mult weight min(s, k) - ks/u is
+        # never zero inside a gap, where 0 < s, k < u
+        if convention == "oi" and not insertion_weight(lo, hi, g, val, "oi", 1):
+            continue
         chain_g = chain[:idx] + (g,) + chain[idx:]
         order_g = order[:idx] + (label,) + order[idx:]
         _grow_trees(matroid, vs, convention, out, chain_g, order_g, parent + (p,), side + (s,))

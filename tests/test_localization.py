@@ -21,6 +21,7 @@ from mixeuler.errors import (
     SizeViolation,
 )
 from mixeuler.expansion import compositions, gamma_product_degree, mixed_eulerian_degree
+from mixeuler.catalog import named_catalog
 from mixeuler.localization import (
     descent_rule_value,
     descent_target,
@@ -31,6 +32,8 @@ from mixeuler.localization import (
     perm_flag_and_basis,
     series_constant_term,
 )
+
+from reference import perm_classes_walk
 
 FANO_LINES = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
 
@@ -92,6 +95,52 @@ def test_descent_target_examples():
 def test_descent_target_counts_missing_positions():
     # positions outside the jump set get a +1 in the running sum
     assert descent_target((0, 0, 0, 1), (0, 1)).indices == frozenset({0, 1, 2})
+
+
+def test_target_mask_matches_descent_target():
+    # every exponent vector the degree formula meets sums to at most n
+    for n in range(6):
+        subsets = [
+            k for size in range(n + 2) for k in itertools.combinations(range(n + 1), size)
+        ]
+        for total in range(n + 1):
+            for support in itertools.combinations_with_replacement(range(n + 1), total):
+                d = tuple(support.count(i) for i in range(n + 1))
+                prefix = localization._prefix_sums(d)
+                for k in subsets:
+                    counts = tuple(sum(1 for j in k if j <= i) for i in range(n))
+                    want = sum(1 << i for i in descent_target(d, k).indices)
+                    assert localization._target_mask(prefix, counts) == want, (d, k)
+
+
+# ---------------------------------------------------------------------------
+# the class table against a walk over every permutation
+
+
+def walked_table(m):
+    # the prefix-tree walk's classes, keyed as the DP keys them
+    out = {}
+    for k_set, by_des in perm_classes_walk(m).items():
+        counts = tuple(sum(1 for j in k_set if j <= i) for i in range(m.n))
+        out[counts] = {sum(1 << i for i in des): cnt for des, cnt in by_des.items()}
+    return out
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *[
+            pytest.param(lambda m=m: m, id=name)
+            for name, m in named_catalog().items()
+            if m.m <= 8
+        ],
+        pytest.param(lambda: seeded_sparse_paving(8, 4, 20240901), id="sp8_20240901"),
+        pytest.param(lambda: seeded_sparse_paving(8, 4, 20240902), id="sp8_20240902"),
+    ],
+)
+def test_class_table_matches_permutation_walk(build):
+    m = build()
+    assert dict(localization._class_table(m)) == walked_table(m)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +390,24 @@ def test_class_table_dies_without_the_cycle_collector():
         m = build_uniform(3, 5)
         c = (1, 0, 1, 0)
         assert gamma_degree_via_localization(m, c) == mixed_eulerian_degree(m, c)
+        assert len(localization._CLASS_CACHE) == before + 1
+        alive = weakref.ref(m)
+        del m
+        assert alive() is None
+        assert len(localization._CLASS_CACHE) == before
+    finally:
+        gc.enable()
+
+
+def test_class_table_and_memo_die_after_a_full_sweep():
+    gc.collect()
+    before = len(localization._CLASS_CACHE)
+    gc.disable()
+    try:
+        m = build_uniform(3, 5)
+        for c in compositions(m.r, m.n):
+            assert gamma_degree_via_localization(m, c) == mixed_eulerian_degree(m, c), c
+        assert len(localization._CLASS_CACHE[m][1]) > 1
         assert len(localization._CLASS_CACHE) == before + 1
         alive = weakref.ref(m)
         del m

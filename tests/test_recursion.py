@@ -1,8 +1,10 @@
 """Relation-based evaluators replayed against the flag expansion."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 
@@ -360,6 +362,42 @@ def test_convolution_fano_shift():
 def test_convolution_noncontiguous_rejected():
     with pytest.raises(PreconditionViolation):
         cv_via_tutte_convolution(build_boolean(4), (1, 1, 3))
+
+
+def test_convolution_builds_one_boolean_per_matroid(monkeypatch):
+    from mixeuler import matroid as matroid_module
+
+    calls = []
+
+    def counted(rank):
+        calls.append(rank)
+        return build_boolean(rank)
+
+    monkeypatch.setattr(matroid_module, "build_boolean", counted)
+    m = build_uniform(5, 8)
+    swept = 0
+    for c in compositions(m.r, m.n):
+        v = composition_to_indices(c)
+        if classify_support(m, v).contiguous:
+            assert cv_via_tutte_convolution(m, v) == c_degree(m, v, 0), c
+            swept += 1
+    assert swept > 1
+    assert calls == [5]
+
+
+def test_convolution_data_dies_with_its_matroid():
+    # the matroid holds its Boolean and T_M(1, y); neither refers back,
+    # so the matroid dies at del without the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        m = build_uniform(3, 5)
+        assert cv_via_tutte_convolution(m, (3, 3)) == 4
+        alive = weakref.ref(m)
+        del m
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("convention", ["oi", "mult"])

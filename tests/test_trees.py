@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -13,9 +14,17 @@ from mixeuler import (
     build_uniform,
     mask_of,
 )
+from mixeuler.catalog import named_catalog
 from mixeuler.errors import VOutOfRange
-from mixeuler.expansion import expand_gamma_product, gamma_product_degree
+from mixeuler.expansion import (
+    composition_to_indices,
+    compositions,
+    expand_gamma_product,
+    gamma_product_degree,
+)
 from mixeuler.trees import PostnikovTree, aggregate_by_flag, enumerate_trees, tree_weight
+
+from reference import trees_unpruned
 
 
 def test_worked_example_figure_tree():
@@ -89,6 +98,19 @@ def test_aggregation_matches_expansion_random():
         agg = aggregate_by_flag(enumerate_trees(m, v, conv))
         exp = expand_gamma_product(m, v, conv).terms
         assert agg == exp, (m.provenance, v, conv)
+
+
+SMALL = {name: m for name, m in named_catalog().items() if m.m <= 7}
+
+
+@pytest.mark.parametrize("convention", ["oi", "mult"])
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_pruned_enumeration_matches_unpruned(name, convention):
+    m = SMALL[name]
+    for c in compositions(m.r, m.n):
+        vs = composition_to_indices(c)
+        got = Counter(enumerate_trees(m, vs, convention))
+        assert got == Counter(trees_unpruned(m, vs, convention)), c
 
 
 def test_all_ones_gives_left_path():
