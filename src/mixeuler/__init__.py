@@ -13,7 +13,7 @@ _EXPORTS = {
         "LoopDetected", "MatroidFileError", "MixEulerError", "NonPrimeQ",
         "NotAFlat", "NotLopsided", "NotPMD", "OverlapViolation", "ParseError",
         "PreconditionViolation", "RankCollapse", "RankOutOfRange",
-        "RankTooSmall", "SingularSystem", "SizeViolation", "VOutOfRange",
+        "RankTooSmall", "SizeViolation", "VOutOfRange",
     ),
     "expansion": (
         "CONVENTIONS", "LogConcavityResult", "WeightedFlagSum",

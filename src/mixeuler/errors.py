@@ -82,10 +82,6 @@ class NotLopsided(InputError):
     pass
 
 
-class SingularSystem(InternalError):
-    pass
-
-
 class DivisionNotExact(InternalError):
     pass
 

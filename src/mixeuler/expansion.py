@@ -291,18 +291,17 @@ def _flat_view(matroid, convention, scale):
     return _View(0, matroid.full_mask, rank.__getitem__, int.bit_count, between, weight, total)
 
 
-def _rank_view(matroid, convention, scale):
-    """Node k stands for every rank-k flat; None unless each rank has one flat size.
+def _rank_view(n, convention, scale):
+    """Node k stands for every rank-k flat; None when n, the one flat size of
+    each rank (Matroid.level_sizes()), is None.
 
-    With n[k] that size, the covers of a rank-i flat inside a rank-b flat
-    split the rest of it into blocks of n[i+1] - n[i] elements. So every
-    interval of ranks a < b has ch[a, b] maximal chains, ch[a, k] * ch[k, b]
-    of them through each of its count[a, k, b] flats of rank k, and each of
-    its top elements lies in count[a + 1, k, b] of these flats. The weights
-    sum over the flats in closed form; they hold sizes and counts, never the
-    matroid.
+    The covers of a rank-i flat inside a rank-b flat split the rest of it
+    into blocks of n[i+1] - n[i] elements. So every interval of ranks a < b
+    has ch[a, b] maximal chains, ch[a, k] * ch[k, b] of them through each of
+    its count[a, k, b] flats of rank k, and each of its top elements lies in
+    count[a + 1, k, b] of these flats. The weights sum over the flats in
+    closed form; they hold sizes and counts, never the matroid.
     """
-    n = matroid.level_sizes()
     if n is None:
         return None
     ch = {}
@@ -348,7 +347,9 @@ def _pick_view(matroid, convention, engine):
     state = matroid._degree_memos.get(convention)
     if state is None:
         scale = weight_scale(matroid.m, convention)
-        view = _rank_view(matroid, convention, scale) or _flat_view(matroid, convention, scale)
+        view = _rank_view(matroid.level_sizes(), convention, scale) or _flat_view(
+            matroid, convention, scale
+        )
         state = matroid._degree_memos[convention] = (view, {})
     return state
 

@@ -6,15 +6,17 @@ families of degrees collapse to closed forms: lopsided exponent vectors
 (every prefix covers its index) evaluate to a fixed rational scale V times a
 product of flat sizes, and any exponent vector reduces to the all-ones one
 through a three-term exchange whose coefficients are flat-size gaps. Over a
-projective geometry the exchange becomes the defining recurrence of the
-q-deformed Eulerian numbers, matching degrees up to a power of q; those
-numbers are computed here by solving the defining linear system exactly.
+projective geometry PG(r, q) the degrees are q^(r(r+1)/2) times the remixed
+Eulerian numbers A_c(q) of Nadeau and Tewari, polynomials in q. They are
+computed here by the degree DP's rank view, which needs only the flat sizes
+[k]_q: run at enough integer q to pin the polynomial down, then interpolated.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import comb
 
 from .errors import (
     InternalError,
@@ -22,9 +24,8 @@ from .errors import (
     NotPMD,
     PreconditionViolation,
     RankOutOfRange,
-    SingularSystem,
 )
-from .expansion import check_composition, compositions, gamma_product_degree
+from .expansion import _deg, _rank_view, check_composition, gamma_product_degree
 from .matroid import Matroid, build_projective_geometry, set_of
 
 __all__ = [
@@ -109,97 +110,26 @@ def lopsided_degree(matroid: Matroid, c) -> int:
     return int(value)
 
 
-def _q_factorial(r: int, q: Fraction) -> Fraction:
-    out = Fraction(1)
-    for i in range(1, r + 1):
-        out *= sum((q**j for j in range(i)), Fraction(0))
-    return out
-
-
-def _solve_sparse(rows, ncols: int) -> dict:
-    """Exact Gaussian elimination on sparse rows (dict col -> coeff, rhs).
-
-    Returns the unique solution column -> value; raises SingularSystem when
-    the rows are rank-deficient or inconsistent, either of which would mean
-    the defining equations fail to pin the numbers down.
-    """
-    pivots = {}
-    order = []
-    for row, rhs in rows:
-        row = dict(row)
-        while True:
-            hit = next((col for col in sorted(row) if col in pivots), None)
-            if hit is None:
-                break
-            prow, prhs = pivots[hit]
-            factor = row[hit]
-            for pcol, pval in prow.items():
-                cur = row.get(pcol, Fraction(0)) - factor * pval
-                if cur:
-                    row[pcol] = cur
-                else:
-                    row.pop(pcol, None)
-            rhs -= factor * prhs
-        if not row:
-            if rhs:
-                raise SingularSystem("equations are inconsistent")
-            continue
-        lead = min(row)
-        inv = Fraction(1) / row[lead]
-        pivots[lead] = ({c: v * inv for c, v in row.items()}, rhs * inv)
-        order.append(lead)
-    if len(pivots) < ncols:
-        raise SingularSystem(f"rank {len(pivots)} of {ncols} unknowns")
-    values = {}
-    for col in reversed(order):
-        prow, prhs = pivots[col]
-        acc = prhs
-        for c2, v2 in prow.items():
-            if c2 != col:
-                acc -= v2 * values[c2]
-        values[col] = acc
-    return values
-
-
-_REMIXED_CACHE: dict = {}
-
-
-def _remixed_table(r: int, q: Fraction) -> dict:
-    members = list(compositions(r, r))
-    index = {c: i for i, c in enumerate(members)}
-    rows = []
-    rows.append(({index[(1,) * r]: Fraction(1)}, _q_factorial(r, q)))
-    for c, col in index.items():
-        for pos in range(r):
-            if c[pos] < 2:
-                continue
-            # (q+1) A_c = q A_(shift left) + A_(shift right), a shift off
-            # either end of the index range contributing nothing
-            row = {col: q + 1}
-            if pos >= 1:
-                left = list(c)
-                left[pos] -= 1
-                left[pos - 1] += 1
-                key = index[tuple(left)]
-                row[key] = row.get(key, Fraction(0)) - q
-            if pos + 1 < r:
-                right = list(c)
-                right[pos] -= 1
-                right[pos + 1] += 1
-                key = index[tuple(right)]
-                row[key] = row.get(key, Fraction(0)) - 1
-            rows.append((row, Fraction(0)))
-    values = _solve_sparse(rows, len(members))
-    return {c: values[i] for c, i in index.items()}
+def _remixed_at(r: int, cs: tuple, q: int) -> Fraction:
+    """A_c(q) at an integer q >= 2: the degree of the product of
+    gamma_{n_i}^{c_i} on the rank view of PG(r, q), whose flat sizes are
+    n_k = [k]_q, divided by q^(r(r+1)/2)."""
+    sizes = tuple((q**k - 1) // (q - 1) for k in range(r + 2))
+    view = _rank_view(sizes, "oi", 1)  # oi weights are integers: scale 1
+    vs = tuple(size for size, exp in zip(sizes[1:], cs) for _ in range(exp))
+    return Fraction(_deg(view, {}, view.bottom, view.top, vs), q ** comb(r + 1, 2))
 
 
 def remixed_eulerian_eval(r: int, c, q) -> Fraction:
-    """q-deformed Eulerian number A_c(q) for c a length-r vector summing to r.
+    """Remixed Eulerian number A_c(q) for c a length-r vector summing to r.
 
-    The whole family at (r, q) is pinned down by the anchor value at the
-    all-ones vector, the q-factorial of r, together with one exchange
-    relation per repeated entry; we solve that linear system exactly over
-    rationals once per (r, q) and cache the table.
+    On the projective geometry of rank r + 1 over a field of order q the
+    degree of the product of gamma_{n_i}^{c_i} is q^(r(r+1)/2) A_c(q), and
+    the rank view of the degree DP needs only the flat sizes n_k = [k]_q.
+    At every integer q' >= 2 those sizes make each count and weight of the
+    view an integer polynomial in q', and A_c has degree at most C(r, 2).
+    So the values at q' = 2 .. C(r, 2) + 2 interpolate A_c exactly; one
+    point more checks the degree bound.
     """
     if r < 1:
         raise RankOutOfRange("need r >= 1")
@@ -207,12 +137,18 @@ def remixed_eulerian_eval(r: int, c, q) -> Fraction:
     if qf <= 0:
         raise PreconditionViolation("q must be positive")
     cs = check_composition(c, r, r)
-    key = (r, qf)
-    table = _REMIXED_CACHE.get(key)
-    if table is None:
-        table = _remixed_table(r, qf)
-        _REMIXED_CACHE[key] = table
-    return table[cs]
+    points = range(2, comb(r, 2) + 4)
+    # Newton divided differences, in place
+    coeffs = [_remixed_at(r, cs, p) for p in points]
+    for j in range(1, len(points)):
+        for i in range(len(points) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (points[i] - points[i - j])
+    if coeffs[-1]:
+        raise InternalError(f"A_{cs}(q) has degree above C({r}, 2)")
+    value = Fraction(0)
+    for x, coeff in zip(reversed(points[:-1]), reversed(coeffs[:-1])):
+        value = value * (qf - x) + coeff
+    return value
 
 
 def pmd_recurrence_check(matroid: Matroid, c, i: int) -> bool:

@@ -10,11 +10,13 @@ flat of the ranks strictly between. Localization tallies permutations by a
 DP over prefix sets; perm_classes_walk visits all m! orderings on a prefix
 tree. Tree enumeration skips flats of zero insertion weight;
 trees_unpruned grows every tree and lets tree_weight drop the zero ones.
+The remixed Eulerian numbers come from the degree DP's rank view;
+remixed_by_exchange solves their defining linear system instead.
 """
 
 from fractions import Fraction
 
-from mixeuler.expansion import _find_gap
+from mixeuler.expansion import _find_gap, compositions
 from mixeuler.trees import PostnikovTree, tree_weight
 
 
@@ -137,3 +139,79 @@ def _grow_unpruned(matroid, vs, convention, out, chain, order, parent, side):
             parent + (p,),
             side + (s,),
         )
+
+
+def remixed_by_exchange(r: int, q) -> dict:
+    """Every remixed Eulerian number A_c(q) with c of length r, by composition.
+
+    Solves the defining linear system exactly: A at the all-ones vector is
+    the q-factorial [r]_q!, and each entry c_i >= 2 gives the exchange
+    (q + 1) A_c = q A_(one unit moved left) + A_(one unit moved right), a
+    move off either end contributing nothing.
+    """
+    q = Fraction(q)
+    members = list(compositions(r, r))
+    index = {c: i for i, c in enumerate(members)}
+    factorial = Fraction(1)
+    for i in range(1, r + 1):
+        factorial *= sum((q**j for j in range(i)), Fraction(0))
+    rows = [({index[(1,) * r]: Fraction(1)}, factorial)]
+    for c, col in index.items():
+        for pos in range(r):
+            if c[pos] < 2:
+                continue
+            row = {col: q + 1}
+            for to, coeff in ((pos - 1, q), (pos + 1, Fraction(1))):
+                if 0 <= to < r:
+                    moved = list(c)
+                    moved[pos] -= 1
+                    moved[to] += 1
+                    key = index[tuple(moved)]
+                    row[key] = row.get(key, Fraction(0)) - coeff
+            rows.append((row, Fraction(0)))
+    values = _solve_sparse(rows, len(members))
+    return {c: values[i] for c, i in index.items()}
+
+
+def _solve_sparse(rows, ncols: int) -> dict:
+    """Exact Gaussian elimination on sparse rows (dict col -> coeff, rhs).
+
+    Returns the unique solution column -> value; raises ValueError when the
+    rows are rank-deficient or inconsistent.
+    """
+    pivots = {}
+    order = []
+    for row, rhs in rows:
+        row = dict(row)
+        while True:
+            hit = next((col for col in sorted(row) if col in pivots), None)
+            if hit is None:
+                break
+            prow, prhs = pivots[hit]
+            factor = row[hit]
+            for pcol, pval in prow.items():
+                cur = row.get(pcol, Fraction(0)) - factor * pval
+                if cur:
+                    row[pcol] = cur
+                else:
+                    row.pop(pcol, None)
+            rhs -= factor * prhs
+        if not row:
+            if rhs:
+                raise ValueError("equations are inconsistent")
+            continue
+        lead = min(row)
+        inv = Fraction(1) / row[lead]
+        pivots[lead] = ({c: v * inv for c, v in row.items()}, rhs * inv)
+        order.append(lead)
+    if len(pivots) < ncols:
+        raise ValueError(f"rank {len(pivots)} of {ncols} unknowns")
+    values = {}
+    for col in reversed(order):
+        prow, prhs = pivots[col]
+        acc = prhs
+        for c2, v2 in prow.items():
+            if c2 != col:
+                acc -= v2 * values[c2]
+        values[col] = acc
+    return values

@@ -1,0 +1,48 @@
+"""No module-level container grows with use: whatever the package keeps
+between calls lives on a matroid and dies with it."""
+
+import importlib
+import pkgutil
+from fractions import Fraction
+
+import mixeuler
+from mixeuler import cli
+from mixeuler.expansion import gamma_product_degree, pvol
+from mixeuler.localization import gamma_degree_via_localization
+from mixeuler.matroid import build_projective_geometry, build_uniform
+from mixeuler.pmd import remixed_eulerian_eval
+from mixeuler.recursion import cv_via_tutte_convolution
+from mixeuler.trees import enumerate_trees
+from mixeuler.tutte import tutte_polynomial
+
+
+def module_containers():
+    """(module, name) -> length of every module-level dict, list and set."""
+    modules = [mixeuler] + [
+        importlib.import_module(f"mixeuler.{info.name}")
+        for info in pkgutil.iter_modules(mixeuler.__path__)
+    ]
+    return {
+        (module.__name__, name): len(value)
+        for module in modules
+        for name, value in vars(module).items()
+        if name != "__builtins__" and isinstance(value, (dict, list, set))
+    }
+
+
+def test_no_module_level_container_grows(capsys):
+    before = module_containers()
+    fano = build_projective_geometry(2, 2)
+    u35 = build_uniform(3, 5)
+    gamma_product_degree(fano, (1, 3))
+    gamma_degree_via_localization(u35, (1, 1, 0, 0))
+    pvol(fano)
+    tutte_polynomial(u35)
+    cv_via_tutte_convolution(u35, (1, 1))
+    enumerate_trees(u35, (2, 2))
+    remixed_eulerian_eval(3, (1, 1, 1), Fraction(7, 13))  # a q no other test asks for
+    assert cli.run(["check", "--suite", "all", "--matroid", "pg:2,2"]) == 0
+    capsys.readouterr()
+    after = module_containers()
+    grown = {key: (before.get(key, 0), n) for key, n in after.items() if n > before.get(key, 0)}
+    assert not grown

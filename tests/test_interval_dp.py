@@ -208,7 +208,7 @@ def test_gap_weight_total_is_the_sum_over_class_indices():
 )
 def test_rank_view_total_is_the_sum_over_class_indices(m):
     for conv in CONVENTIONS:
-        view = expansion._rank_view(m, conv, weight_scale(m.m, conv))
+        view = expansion._rank_view(m.level_sizes(), conv, weight_scale(m.m, conv))
         nodes = range(m.rank_total + 1)
         for lo in nodes:
             for hi in nodes:
@@ -319,7 +319,7 @@ def test_rank_view_weights_sum_the_flat_weights(m):
     flats = [f for level in m.flats_by_rank for f in level]
     for conv in CONVENTIONS:
         scale = weight_scale(m.m, conv)
-        view = expansion._rank_view(m, conv, scale)
+        view = expansion._rank_view(m.level_sizes(), conv, scale)
         for lo in flats:
             for hi in flats:
                 if lo & hi != lo or lo == hi:

@@ -5,7 +5,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from reference import remixed_by_exchange
 
+from mixeuler import expansion
 from mixeuler.errors import (
     CompositionMismatch,
     NonPrimeQ,
@@ -166,6 +168,15 @@ class TestLopsided:
 
 
 class TestRemixed:
+    @pytest.mark.parametrize(
+        "r,q",
+        [(r, q) for r in range(1, 6) for q in (1, 2, 3, Fraction(1, 2), Fraction(5, 7))] + [(6, 2)],
+    )
+    def test_matches_the_exchange_solve(self, r, q):
+        table = remixed_by_exchange(r, q)
+        for c in compositions(r, r):
+            assert remixed_eulerian_eval(r, c, q) == table[c], c
+
     def test_rank_two_values(self):
         for q in (1, 2, 3, Fraction(1, 2)):
             assert remixed_eulerian_eval(2, (2, 0), q) == 1
@@ -248,6 +259,19 @@ class TestProjectiveIdentity:
     def test_nonprime_rejected(self):
         with pytest.raises(NonPrimeQ):
             pg_identity_check(2, 4, (1, 1))
+
+    @pytest.mark.parametrize("r,q", [(2, 2), (2, 3), (3, 2), (2, 5), (3, 3), (4, 2)])
+    def test_flat_view_degrees_match_the_exchange_solve(self, r, q, monkeypatch):
+        # pg_identity_check takes the rank view on both sides; here the
+        # degrees walk the geometry's lattice of flats instead
+        monkeypatch.setattr(expansion, "_rank_view", lambda *args: None)
+        geometry = build_projective_geometry(r, q)
+        sizes = pmd_profile(geometry).n_seq
+        table = remixed_by_exchange(r, q)
+        for c in compositions(r, r):
+            v = [size for size, exp in zip(sizes, c) for _ in range(exp)]
+            assert gamma_product_degree(geometry, v) == q ** math.comb(r + 1, 2) * table[c], c
+        assert geometry._degree_memos["oi"][0].top == geometry.full_mask  # the flat view
 
 
 @pytest.mark.parametrize("r,q", [(2, 5), (3, 3), (4, 2)])
