@@ -161,12 +161,33 @@ def _join(values) -> str:
     return ",".join(str(x) for x in values)
 
 
-def _ms(start: float) -> int:
-    return int((time.perf_counter() - start) * 1000)
-
-
 def _render_flag(flag) -> str:
     return ";".join(_join(set_of(mask)) for mask in flag)
+
+
+# -- records -----------------------------------------------------------------
+
+# The fields every record starts with, in this order; they are the CSV columns.
+_FIELDS = ("matroid", "c", "pipeline", "value", "millis")
+
+
+def _record(matroid: str, c: str, pipeline: str, value, millis: int, **extra) -> dict:
+    """One output record: the shared fields, value as a string, then extra."""
+    return dict(zip(_FIELDS, (matroid, c, pipeline, str(value), millis)), **extra)
+
+
+def _timed(fn, *args):
+    """(fn(*args), the whole milliseconds the call took)."""
+    clock = time.perf_counter
+    start = clock()
+    value = fn(*args)
+    return value, int((clock() - start) * 1000)
+
+
+def _load(args):
+    """(spec text, matroid) of the --matroid argument."""
+    spec = parse_matroid_spec(args.matroid)
+    return spec.text, spec.build()
 
 
 # -- degree pipelines --------------------------------------------------------
@@ -279,8 +300,7 @@ PIPELINES = {
 
 
 def _cmd_degree(args):
-    spec = parse_matroid_spec(args.matroid)
-    matroid = spec.build()
+    label, matroid = _load(args)
     if (args.c is None) == (args.v is None):
         raise ParseError("exactly one of --c or --v is required")
     if args.c is not None:
@@ -290,41 +310,30 @@ def _cmd_degree(args):
         vs = _parse_int_list(args.v, "--v")
         cs = indices_to_composition(vs, matroid.n)
     check_composition(cs, matroid.n, matroid.r)
-    start = time.perf_counter()
-    value = PIPELINES[args.pipeline].run(matroid, tuple(sorted(vs)), args.convention)
-    record = {
-        "matroid": spec.text,
-        "c": _join(cs),
-        "pipeline": args.pipeline,
-        "value": str(value),
-        "millis": _ms(start),
-        "v": _join(vs),
-        "convention": args.convention,
-    }
-    return [record], str(value), 0
+    pipeline = PIPELINES[args.pipeline]
+    value, millis = _timed(pipeline.run, matroid, tuple(sorted(vs)), args.convention)
+    record = _record(
+        label,
+        _join(cs),
+        args.pipeline,
+        value,
+        millis,
+        v=_join(vs),
+        convention=args.convention,
+    )
+    return [record], record["value"], 0
 
 
 def _cmd_table(args):
-    spec = parse_matroid_spec(args.matroid)
-    matroid = spec.build()
+    label, matroid = _load(args)
     records = []
     lines = []
     for cs in compositions(matroid.r, matroid.n):
         vs = composition_to_indices(cs)
         if args.contiguous_only and vs and not _contiguous(matroid, vs):
             continue
-        start = time.perf_counter()
-        value = gamma_product_degree(matroid, vs)
-        records.append(
-            {
-                "matroid": spec.text,
-                "c": _join(cs),
-                "pipeline": "flag",
-                "value": str(value),
-                "millis": _ms(start),
-                "v": _join(vs),
-            }
-        )
+        value, millis = _timed(gamma_product_degree, matroid, vs)
+        records.append(_record(label, _join(cs), "flag", value, millis, v=_join(vs)))
         lines.append(f"c=({_join(cs)})  v=({_join(vs)})  {value}")
     lines.append(f"{len(records)} compositions")
     return records, "\n".join(lines), 0
@@ -333,52 +342,25 @@ def _cmd_table(args):
 def _cmd_tutte(args):
     from .tutte import tutte_polynomial
 
-    spec = parse_matroid_spec(args.matroid)
-    matroid = spec.build()
-    start = time.perf_counter()
-    poly = tutte_polynomial(matroid)
-    rendered = poly.format()
-    record = {
-        "matroid": spec.text,
-        "c": "-",
-        "pipeline": "tutte",
-        "value": rendered,
-        "millis": _ms(start),
-        "terms": [
-            [i, j, str(poly.coeffs[(i, j)])]
-            for i, j in sorted(poly.coeffs)
-        ],
-    }
-    return [record], f"T(x,y) = {rendered}", 0
+    label, matroid = _load(args)
+    poly, millis = _timed(tutte_polynomial, matroid)
+    terms = [[i, j, str(poly.coeffs[(i, j)])] for i, j in sorted(poly.coeffs)]
+    record = _record(label, "-", "tutte", poly.format(), millis, terms=terms)
+    return [record], f"T(x,y) = {record['value']}", 0
 
 
 def _cmd_charpoly(args):
     from .tutte import characteristic_data
 
-    spec = parse_matroid_spec(args.matroid)
-    matroid = spec.build()
-    start = time.perf_counter()
-    data = characteristic_data(matroid)
-    millis = _ms(start)
-
-    def rec(name, value, extra):
-        return {
-            "matroid": spec.text,
-            "c": name,
-            "pipeline": "charpoly",
-            "value": value,
-            "millis": millis,
-            "coeffs": extra,
-        }
-
+    label, matroid = _load(args)
+    data, millis = _timed(characteristic_data, matroid)
     records = [
-        rec("chi", data.chi.format("t"), [str(c) for c in data.chi.coeffs]),
-        rec(
-            "chi_reduced",
-            data.chi_reduced.format("t"),
-            [str(c) for c in data.chi_reduced.coeffs],
-        ),
-        rec("mu", _join(data.mu), [str(c) for c in data.mu]),
+        _record(label, name, "charpoly", value, millis, coeffs=[str(c) for c in coeffs])
+        for name, value, coeffs in (
+            ("chi", data.chi.format("t"), data.chi.coeffs),
+            ("chi_reduced", data.chi_reduced.format("t"), data.chi_reduced.coeffs),
+            ("mu", _join(data.mu), data.mu),
+        )
     ]
     text = (
         f"chi(t) = {records[0]['value']}\n"
@@ -391,37 +373,22 @@ def _cmd_charpoly(args):
 def _cmd_cvpoly(args):
     from .recursion import cv_polynomial
 
-    spec = parse_matroid_spec(args.matroid)
-    matroid = spec.build()
+    label, matroid = _load(args)
     vs = tuple(sorted(_parse_int_list(args.v, "--v")))
-    start = time.perf_counter()
-    poly = cv_polynomial(matroid, vs)
-    rendered = poly.format("y")
-    record = {
-        "matroid": spec.text,
-        "c": _join(indices_to_composition(vs, matroid.n)),
-        "pipeline": "cvpoly",
-        "value": rendered,
-        "millis": _ms(start),
-        "v": _join(vs),
-        "coeffs": [str(c) for c in poly.coeffs],
-    }
-    return [record], f"C_v(y) = {rendered}", 0
+    poly, millis = _timed(cv_polynomial, matroid, vs)
+    cs = indices_to_composition(vs, matroid.n)
+    coeffs = [str(x) for x in poly.coeffs]
+    record = _record(
+        label, _join(cs), "cvpoly", poly.format("y"), millis, v=_join(vs), coeffs=coeffs
+    )
+    return [record], f"C_v(y) = {record['value']}", 0
 
 
 def _cmd_pvol(args):
-    spec = parse_matroid_spec(args.matroid)
-    matroid = spec.build()
-    start = time.perf_counter()
-    value = pvol(matroid)
-    record = {
-        "matroid": spec.text,
-        "c": "-",
-        "pipeline": "pvol",
-        "value": str(value),
-        "millis": _ms(start),
-    }
-    return [record], str(value), 0
+    label, matroid = _load(args)
+    value, millis = _timed(pvol, matroid)
+    record = _record(label, "-", "pvol", value, millis)
+    return [record], record["value"], 0
 
 
 def _cmd_remixed(args):
@@ -434,58 +401,34 @@ def _cmd_remixed(args):
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"--q expects a rational like 2 or 1/2, got {args.q!r}") from None
     cs = _parse_int_list(args.c, "--c")
-    start = time.perf_counter()
-    value = remixed_eulerian_eval(args.r, cs, q)
-    record = {
-        "matroid": "-",
-        "c": _join(cs),
-        "pipeline": "remixed",
-        "value": str(value),
-        "millis": _ms(start),
-        "r": args.r,
-        "q": str(q),
-    }
-    return [record], str(value), 0
+    value, millis = _timed(remixed_eulerian_eval, args.r, cs, q)
+    record = _record("-", _join(cs), "remixed", value, millis, r=args.r, q=str(q))
+    return [record], record["value"], 0
 
 
 def _cmd_trees(args):
     from .trees import aggregate_by_flag, enumerate_trees
 
-    spec = parse_matroid_spec(args.matroid)
-    matroid = spec.build()
+    label, matroid = _load(args)
     vs = _parse_int_list(args.v, "--v")
-    start = time.perf_counter()
-    terms = enumerate_trees(matroid, vs)
-    agg = aggregate_by_flag(terms)
-    millis = _ms(start)
+
+    def weigh():
+        terms = enumerate_trees(matroid, vs)
+        return len(terms), aggregate_by_flag(terms)
+
+    (count, agg), millis = _timed(weigh)
     total = sum(agg.values(), 0)
     records = []
-    lines = [f"{len(terms)} weighted trees over {len(agg)} flags"]
+    lines = [f"{count} weighted trees over {len(agg)} flags"]
     for flag in sorted(agg):
-        weight = agg[flag]
-        records.append(
-            {
-                "matroid": spec.text,
-                "c": _render_flag(flag),
-                "pipeline": "trees",
-                "value": str(weight),
-                "millis": millis,
-                "flats": [list(set_of(mask)) for mask in flag],
-            }
-        )
-        lines.append(f"flag {_render_flag(flag)}  {weight}")
-    records.append(
-        {
-            "matroid": spec.text,
-            "c": "total",
-            "pipeline": "trees",
-            "value": str(total),
-            "millis": millis,
-            "v": _join(vs),
-            "tree_count": len(terms),
-        }
-    )
+        c = _render_flag(flag)
+        flats = [list(set_of(mask)) for mask in flag]
+        records.append(_record(label, c, "trees", agg[flag], millis, flats=flats))
+        lines.append(f"flag {c}  {agg[flag]}")
     lines.append(f"total {total}")
+    records.append(
+        _record(label, "total", "trees", total, millis, v=_join(vs), tree_count=count)
+    )
     return records, "\n".join(lines), 0
 
 
@@ -688,32 +631,27 @@ _SUITES = {
 
 
 def _cmd_check(args):
-    spec = parse_matroid_spec(args.matroid)
-    matroid = spec.build()
+    label, matroid = _load(args)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+
+    def rows_of(name):
+        try:
+            return _SUITES[name](matroid)
+        except NotPMD as exc:
+            if args.suite != "all":
+                raise
+            return [("size_perfect_profile", True, f"skipped: {exc}")]
+
     records = []
     lines = []
     all_ok = True
     for name in names:
-        start = time.perf_counter()
-        try:
-            rows = _SUITES[name](matroid)
-        except NotPMD as exc:
-            if args.suite != "all":
-                raise
-            rows = [("size_perfect_profile", True, f"skipped: {exc}")]
-        millis = _ms(start)
+        rows, millis = _timed(rows_of, name)
         for check, ok, detail in rows:
             all_ok = all_ok and ok
+            value = "ok" if ok else "FAIL"
             records.append(
-                {
-                    "matroid": spec.text,
-                    "c": check,
-                    "pipeline": f"check:{name}",
-                    "value": "ok" if ok else "FAIL",
-                    "millis": millis,
-                    "detail": detail,
-                }
+                _record(label, check, f"check:{name}", value, millis, detail=detail)
             )
             lines.append(f"{'ok  ' if ok else 'FAIL'} {name}:{check}  {detail}")
     lines.append(
@@ -816,11 +754,8 @@ def _emit(records, text, fmt):
         import csv
 
         writer = csv.writer(sys.stdout)
-        writer.writerow(["matroid", "c", "pipeline", "value", "millis"])
-        for rec in records:
-            writer.writerow(
-                [rec["matroid"], rec["c"], rec["pipeline"], rec["value"], rec["millis"]]
-            )
+        writer.writerow(_FIELDS)
+        writer.writerows([rec[field] for field in _FIELDS] for rec in records)
     else:
         print(text)
 

@@ -26,8 +26,8 @@ P_d(i) + i + 1 - kc_K(i), with P_d the prefix sums of d, the target is the
 bitmask of the i < n where P_d(i) < kc_K(i), and a monomial costs one
 dictionary lookup per jump class. A gamma product expands into lambda
 monomials by a walk over their prefix sums; the value of each monomial is
-memoised beside the table. Table and memo live in a weak-keyed cache entry
-that dies with its matroid.
+memoised beside the table. Table and memo live on the matroid
+(`Matroid._localization`) and die with it.
 
 The per-permutation constant-term lemma behind this is also implemented
 directly (`series_constant_term`) by eliminating xi_{w(0)}, ..., xi_{w(n)}
@@ -38,7 +38,6 @@ the bare descent rule in tests.
 
 from __future__ import annotations
 
-import weakref
 from collections import namedtuple
 from itertools import accumulate
 from math import comb
@@ -141,9 +140,6 @@ def descent_target(d, k_set) -> DescentTarget:
 # ---------------------------------------------------------------------------
 # signed permutation classes, grouped by jump counts, then by descent mask
 
-_CLASS_CACHE = weakref.WeakKeyDictionary()  # an entry dies with its matroid
-
-
 def _class_entry(matroid: Matroid) -> tuple:
     """(table, memo) of the matroid: its class table and its descent sums.
 
@@ -155,10 +151,9 @@ def _class_entry(matroid: Matroid) -> tuple:
             f"permutation pass needs at most {MAX_GROUND_SET} elements, "
             f"got {matroid.m}"
         )
-    hit = _CLASS_CACHE.get(matroid)
-    if hit is None:
-        hit = _CLASS_CACHE[matroid] = (_class_table(matroid), {})
-    return hit
+    if matroid._localization is None:
+        matroid._localization = (_class_table(matroid), {})
+    return matroid._localization
 
 
 def _class_table(matroid: Matroid) -> tuple:

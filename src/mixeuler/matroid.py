@@ -155,6 +155,9 @@ class Matroid:
         # recursion.cv_via_tutte_convolution, set by its first call; the
         # Boolean keeps its own degree memo warm across calls
         self._convolution = None
+        # (class table, descent-sum memo) of localization._class_entry, set by
+        # the first permutation pass on this matroid
+        self._localization = None
         # (lower, upper) or a deleted element -> (child, MinorMap), and
         # (provenance, canonical_key()) -> the one child kept with that lattice;
         # a child holds no reference back to its parent

@@ -482,3 +482,82 @@ class TestExitCodes:
             capsys, "degree", "--matroid", f"file:{path}", "--c", "1,0,0"
         )
         assert (code, out) == (0, "3\n")
+
+
+# One small call per subcommand; tests/cli_golden.txt holds what each prints
+# in every format, with millis set to 0.
+GOLDEN_CALLS = [
+    "degree --matroid uniform:2,3 --c 1,0",
+    "table --matroid uniform:2,3",
+    "tutte --matroid uniform:2,3",
+    "charpoly --matroid uniform:2,3",
+    "cvpoly --matroid uniform:2,3 --v 1",
+    "pvol --matroid uniform:2,3",
+    "remixed --r 2 --q 1/2 --c 1,1",
+    "trees --matroid uniform:3,4 --v 1,3",
+    "check --suite all --matroid sparse:2,3;01",
+]
+FORMATS = ("text", "json", "csv")
+RECORD_FIELDS = ["matroid", "c", "pipeline", "value", "millis"]
+
+
+def golden_outputs():
+    """'<call> --format <fmt>' -> stdout, from the blocks of cli_golden.txt.
+
+    Each block is a line '$ mixeuler <call> --format <fmt>' followed by
+    the output; CSV is kept with '\\n' line ends.
+    """
+    text = (Path(__file__).parent / "cli_golden.txt").read_text()
+    blocks = text.split("$ mixeuler ")[1:]
+    return dict(block.split("\n", 1) for block in blocks)
+
+
+def mask_millis(out: str) -> str:
+    out = re.sub(r'"millis": \d+', '"millis": 0', out)
+    return re.sub(r",\d+\r\n", ",0\r\n", out)
+
+
+class TestGolden:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("call", GOLDEN_CALLS, ids=lambda call: call.split()[0])
+    def test_stdout_is_unchanged(self, capsys, call, fmt):
+        code, out, err = run_cli(capsys, *call.split(), "--format", fmt)
+        assert (code, err) == (0, "")
+        want = golden_outputs()[f"{call} --format {fmt}"]
+        if fmt == "csv":
+            want = want.replace("\n", "\r\n")
+        assert mask_millis(out) == want
+        if fmt == "json":
+            for rec in json.loads(out):
+                assert list(rec)[:5] == RECORD_FIELDS
+                assert isinstance(rec["value"], str)
+
+    def test_every_subcommand_is_covered(self):
+        subcommands = cli._build_parser()._subparsers._group_actions[0].choices
+        assert [call.split()[0] for call in GOLDEN_CALLS] == list(subcommands)
+
+    @pytest.mark.parametrize(
+        "call, err",
+        [
+            ("tutte --matroid nope:1", "matroid spec 'nope:1': unknown tag 'nope' at position 0"),
+            ("cvpoly --matroid nope:1 --v x", "matroid spec 'nope:1': unknown tag 'nope' at position 0"),
+            ("cvpoly --matroid file: --v 1", "matroid spec 'file:': empty path at position 5"),
+            ("degree --matroid uniform:2,3 --c 1,0 --v 1", "exactly one of --c or --v is required"),
+            ("degree --matroid uniform:2,3 --c 2,0", "composition sums to 2, need 1"),
+            (
+                "degree --matroid uniform:2,3 --v 1 --pipeline eulerian",
+                "the repeat-entry pipeline needs some index to occur at least twice",
+            ),
+            ("remixed --r 2 --q x --c 1,1", "--q expects a rational like 2 or 1/2, got 'x'"),
+            ("trees --matroid uniform:2,3 --v 1,2", "product of 2 classes exceeds top degree 1"),
+            (
+                "check --suite pmd --matroid sparse:2,3;01",
+                "rank 1 flats (0, 1) and (2,) have sizes 2 and 1",
+            ),
+            ("pvol --matroid boolean:3 --bogus", "unrecognized arguments: --bogus"),
+        ],
+        ids=lambda x: x.split()[0],
+    )
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_errors_are_unchanged(self, capsys, call, err, fmt):
+        assert run_cli(capsys, *call.split(), "--format", fmt) == (1, "", f"error: {err}\n")

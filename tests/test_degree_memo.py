@@ -18,7 +18,8 @@ from mixeuler.expansion import (
 )
 from mixeuler.matroid import Matroid
 
-from test_matroid import fresh, seeded_sparse_paving
+from seeded import seeded_sparse_paving
+from test_matroid import fresh
 from test_recursion import relation_calls
 
 SMALL = {name: m for name, m in named_catalog().items() if m.m <= 9}

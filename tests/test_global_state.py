@@ -3,6 +3,7 @@ between calls lives on a matroid and dies with it."""
 
 import importlib
 import pkgutil
+import weakref
 from fractions import Fraction
 
 import mixeuler
@@ -16,8 +17,19 @@ from mixeuler.trees import enumerate_trees
 from mixeuler.tutte import tutte_polynomial
 
 
+CONTAINERS = (
+    dict,
+    list,
+    set,
+    weakref.WeakKeyDictionary,
+    weakref.WeakValueDictionary,
+    weakref.WeakSet,
+)
+
+
 def module_containers():
-    """(module, name) -> length of every module-level dict, list and set."""
+    """(module, name) -> length of every module-level dict, list, set and
+    weak mapping or set."""
     modules = [mixeuler] + [
         importlib.import_module(f"mixeuler.{info.name}")
         for info in pkgutil.iter_modules(mixeuler.__path__)
@@ -26,7 +38,7 @@ def module_containers():
         (module.__name__, name): len(value)
         for module in modules
         for name, value in vars(module).items()
-        if name != "__builtins__" and isinstance(value, (dict, list, set))
+        if name != "__builtins__" and isinstance(value, CONTAINERS)
     }
 
 

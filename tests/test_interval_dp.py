@@ -1,6 +1,5 @@
 """The interval DP against the flag oracle, localization and the weight formulas."""
 
-import random
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
@@ -32,23 +31,7 @@ from mixeuler.expansion import (
 )
 
 from reference import mult_weight, oi_weight
-
-# fixed seeds of the random sparse paving matroids; never change them to
-# make a failure go away
-SPARSE_PAVING_SEEDS = (11, 23, 37, 41, 59, 73)
-
-
-def random_sparse_paving(seed):
-    """Rank 3 or 4 on at most 8 elements, with 1 to 4 circuit-hyperplanes."""
-    rng = random.Random(seed)
-    rank = rng.choice((3, 4))
-    m = rng.randint(rank + 2, 8)
-    blocks = []
-    for _ in range(rng.randint(1, 4)):
-        cand = frozenset(rng.sample(range(m), rank))
-        if all(len(cand & b) <= rank - 2 for b in blocks):
-            blocks.append(cand)
-    return build_sparse_paving(rank, m, [tuple(sorted(b)) for b in blocks])
+from seeded import SPARSE_PAVING_SEEDS, random_sparse_paving
 
 
 def assert_dp_matches_flag(m, engine="auto"):

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import sys
 import weakref
 
 import pytest
@@ -34,6 +35,7 @@ from mixeuler.localization import (
 )
 
 from reference import perm_classes_walk
+from seeded import seeded_sparse_paving
 
 FANO_LINES = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
 
@@ -134,8 +136,8 @@ def walked_table(m):
             for name, m in named_catalog().items()
             if m.m <= 8
         ],
-        pytest.param(lambda: seeded_sparse_paving(8, 4, 20240901), id="sp8_20240901"),
-        pytest.param(lambda: seeded_sparse_paving(8, 4, 20240902), id="sp8_20240902"),
+        pytest.param(lambda: seeded_sparse_paving(8, 4, 20240901, 3), id="sp8_20240901"),
+        pytest.param(lambda: seeded_sparse_paving(8, 4, 20240902, 3), id="sp8_20240902"),
     ],
 )
 def test_class_table_matches_permutation_walk(build):
@@ -226,20 +228,6 @@ def test_lambda_monomials_match_per_permutation_sum(build):
         assert lambda_monomial_degree(m, d) == per_permutation_degree(m, evals, d), d
 
 
-def seeded_sparse_paving(m, rank, seed):
-    # greedy circuit-hyperplanes from a seeded shuffle of the rank-subsets
-    rng = random.Random(seed)
-    candidates = list(itertools.combinations(range(m), rank))
-    rng.shuffle(candidates)
-    chosen = []
-    for c in candidates:
-        if all(len(set(c) & set(h)) <= rank - 2 for h in chosen):
-            chosen.append(c)
-        if len(chosen) == 3:
-            break
-    return build_sparse_paving(rank, m, chosen)
-
-
 # ---------------------------------------------------------------------------
 # gamma degrees through the permutation pass
 
@@ -274,7 +262,7 @@ def test_ground_set_guard():
         lambda: build_boolean(5),
         lambda: build_sparse_paving(3, 6, [(0, 1, 2), (3, 4, 5)]),
         lambda: build_fano(),
-        lambda: seeded_sparse_paving(8, 4, 20240901),
+        lambda: seeded_sparse_paving(8, 4, 20240901, 3),
     ],
 )
 def test_all_compositions_match_oracle(build):
@@ -368,50 +356,48 @@ def test_series_rejects_bad_exponents():
 
 
 def test_class_table_dies_with_its_matroid():
-    gc.collect()
-    before = len(localization._CLASS_CACHE)
     m = build_uniform(2, 4)
+    assert m._localization is None
     assert gamma_degree_via_localization(m, (1, 0, 0)) == mixed_eulerian_degree(m, (1, 0, 0))
-    gc.collect()  # the first call also fills, and drops, its sign-check entries
-    assert m in localization._CLASS_CACHE
-    assert len(localization._CLASS_CACHE) == before + 1
+    entry = m._localization
+    assert entry is not None
     alive = weakref.ref(m)
     del m
     gc.collect()
     assert alive() is None
-    assert len(localization._CLASS_CACHE) == before
+    assert sys.getrefcount(entry) == 2  # the local name and the call's argument
 
 
 def test_class_table_dies_without_the_cycle_collector():
     gc.collect()
-    before = len(localization._CLASS_CACHE)
     gc.disable()
     try:
         m = build_uniform(3, 5)
         c = (1, 0, 1, 0)
         assert gamma_degree_via_localization(m, c) == mixed_eulerian_degree(m, c)
-        assert len(localization._CLASS_CACHE) == before + 1
+        entry = m._localization
+        assert entry is not None
         alive = weakref.ref(m)
         del m
         assert alive() is None
-        assert len(localization._CLASS_CACHE) == before
+        assert sys.getrefcount(entry) == 2
     finally:
         gc.enable()
 
 
 def test_class_table_and_memo_die_after_a_full_sweep():
     gc.collect()
-    before = len(localization._CLASS_CACHE)
     gc.disable()
     try:
         m = build_uniform(3, 5)
         for c in compositions(m.r, m.n):
             assert gamma_degree_via_localization(m, c) == mixed_eulerian_degree(m, c), c
-        assert len(localization._CLASS_CACHE[m][1]) > 1
-        assert len(localization._CLASS_CACHE) == before + 1
+        table, memo = m._localization
+        assert len(memo) > 1
         alive = weakref.ref(m)
         del m
         assert alive() is None
-        assert len(localization._CLASS_CACHE) == before
+        assert sys.getrefcount(table) == 2
+        assert sys.getrefcount(memo) == 2
     finally:
         gc.enable()

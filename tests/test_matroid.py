@@ -1,7 +1,6 @@
 """Construction, rank/closure walks, minors, and input validation."""
 
-import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -33,8 +32,12 @@ from mixeuler.matroid import _from_rank_oracle
 
 from reference import corank_nullity_counts as reference_counts
 from reference import flats_between_scan
-from test_interval_dp import SPARSE_PAVING_SEEDS, random_sparse_paving
-from test_localization import seeded_sparse_paving as localization_sparse_paving
+from seeded import (
+    SPARSE_PAVING_SEEDS,
+    random_sparse_paving,
+    seeded_circuit_hyperplanes,
+    seeded_sparse_paving,
+)
 
 FANO_LINES = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5), (2, 3, 6), (1, 4, 6), (0, 5, 6)]
 
@@ -181,22 +184,6 @@ def test_minor_rank_collapse():
     u = build_uniform(3, 5)
     with pytest.raises(RankCollapse):
         u.minor_interval(mask_of([0]), mask_of([0]))
-
-
-def seeded_circuit_hyperplanes(m, rank, seed):
-    # greedy circuit-hyperplanes from a seeded shuffle of the rank-subsets
-    rng = random.Random(seed)
-    candidates = list(combinations(range(m), rank))
-    rng.shuffle(candidates)
-    chosen = []
-    for c in candidates:
-        if all(len(set(c) & set(h)) <= rank - 2 for h in chosen):
-            chosen.append(c)
-    return chosen
-
-
-def seeded_sparse_paving(m, rank, seed):
-    return build_sparse_paving(rank, m, seeded_circuit_hyperplanes(m, rank, seed))
 
 
 def test_delete_element():
@@ -351,7 +338,7 @@ def _seeded_sparse_paving():
     return [
         ("sp48", build_sparse_paving(4, 8, seeded_circuit_hyperplanes(8, 4, 20241018))),
         ("sp73", seeded_sparse_paving(7, 3, 20240902)),
-        ("sp84", localization_sparse_paving(8, 4, 20240901)),
+        ("sp84", seeded_sparse_paving(8, 4, 20240901, 3)),
         *((f"random{seed}", random_sparse_paving(seed)) for seed in SPARSE_PAVING_SEEDS),
     ]
 
