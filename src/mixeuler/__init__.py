@@ -36,7 +36,7 @@ _EXPORTS = {
     "matroid_json": ("load_matroid", "matroid_from_document"),
     "pmd": (
         "PmdProfile", "lopsided_degree", "pg_identity_check", "pmd_profile",
-        "pmd_recurrence_check", "remixed_eulerian_eval",
+        "pmd_recurrence_check", "remixed_eulerian_eval", "remixed_polynomial",
     ),
     "polynomials": ("PolyXY", "UniPoly"),
     "recursion": (

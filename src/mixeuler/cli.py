@@ -582,6 +582,7 @@ def _suite_pmd(matroid: Matroid):
     from .pmd import lopsided_degree, pmd_profile, pmd_recurrence_check
 
     profile = pmd_profile(matroid)
+    sizes = matroid.level_sizes()
     rows = [
         (
             "size_perfect_profile",
@@ -598,8 +599,8 @@ def _suite_pmd(matroid: Matroid):
         except NotLopsided:
             pass
         else:
-            vs = [size for size, exp in zip(profile.n_seq, cs) for _ in range(exp)]
-            closed.add(value == gamma_product_degree(matroid, tuple(vs)), cs)
+            vs = [sizes[k] for k in composition_to_indices(cs)]
+            closed.add(value == gamma_product_degree(matroid, vs), cs)
         for i in range(1, r + 1):
             if cs[i - 1] >= 2:
                 exchange.add(pmd_recurrence_check(matroid, cs, i), (cs, i))

@@ -299,8 +299,9 @@ def _rank_view(n, convention, scale):
     into blocks of n[i+1] - n[i] elements. So every interval of ranks a < b
     has ch[a, b] maximal chains, ch[a, k] * ch[k, b] of them through each of
     its count[a, k, b] flats of rank k, and each of its top elements lies in
-    count[a + 1, k, b] of these flats. The weights sum over the flats in
-    closed form; they hold sizes and counts, never the matroid.
+    count[a + 1, k, b] of these flats. The weights sum over the flats in closed
+    form from sizes and counts, never the matroid. The counts and the oi weight
+    need only +, -, *, exact // and an order, so sizes may lie in Z[q] (pmd).
     """
     if n is None:
         return None

@@ -184,9 +184,6 @@ class Matroid:
     def closure(self, mask: int) -> int:
         return self._walk(mask)[0]
 
-    def is_flat(self, mask: int) -> bool:
-        return mask in self._rank_of_flat
-
     def rank_of_flat(self, mask: int) -> int:
         try:
             return self._rank_of_flat[mask]

@@ -8,8 +8,9 @@ product of flat sizes, and any exponent vector reduces to the all-ones one
 through a three-term exchange whose coefficients are flat-size gaps. Over a
 projective geometry PG(r, q) the degrees are q^(r(r+1)/2) times the remixed
 Eulerian numbers A_c(q) of Nadeau and Tewari, polynomials in q. They are
-computed here by the degree DP's rank view, which needs only the flat sizes
-[k]_q: run at enough integer q to pin the polynomial down, then interpolated.
+computed here by one run of the degree DP's rank view, which needs only
+ring operations, exact division and an order on the flat sizes: run on the
+sizes [k]_q as polynomials in Z[q], it gives the whole degree polynomial.
 """
 
 from __future__ import annotations
@@ -25,13 +26,21 @@ from .errors import (
     PreconditionViolation,
     RankOutOfRange,
 )
-from .expansion import _deg, _rank_view, check_composition, gamma_product_degree
+from .expansion import (
+    _deg,
+    _rank_view,
+    check_composition,
+    composition_to_indices,
+    gamma_product_degree,
+)
 from .matroid import Matroid, build_projective_geometry, set_of
+from .polynomials import UniPoly
 
 __all__ = [
     "PmdProfile",
     "pmd_profile",
     "lopsided_degree",
+    "remixed_polynomial",
     "remixed_eulerian_eval",
     "pg_identity_check",
     "pmd_recurrence_check",
@@ -48,10 +57,6 @@ class PmdProfile(namedtuple("PmdProfile", "n_seq N_seq V_M")):
     """
 
     __slots__ = ()
-
-    @property
-    def rank_count(self) -> int:
-        return len(self.n_seq)
 
 
 def pmd_profile(matroid: Matroid) -> PmdProfile:
@@ -77,15 +82,14 @@ def pmd_profile(matroid: Matroid) -> PmdProfile:
     sizes = levels[1:-1]
     if sizes and sizes[0] != 1:
         raise NotPMD("parallel elements present; rank-1 flats must be points")
-    n_ext = (0,) + sizes + (matroid.m,)
     counts = []
     scale = Fraction(1)
     for i in range(1, len(sizes) + 1):
         n_i = Fraction(1)
         for j in range(i):
-            n_i *= Fraction(n_ext[i + 1] - n_ext[j], n_ext[i] - n_ext[j])
+            n_i *= Fraction(levels[i + 1] - levels[j], levels[i] - levels[j])
         counts.append(int(n_i) if n_i.denominator == 1 else n_i)
-        scale *= n_i * Fraction(n_ext[i + 1] - n_ext[i], n_ext[i + 1])
+        scale *= n_i * Fraction(levels[i + 1] - levels[i], levels[i + 1])
     return PmdProfile(sizes, tuple(counts), scale)
 
 
@@ -110,45 +114,32 @@ def lopsided_degree(matroid: Matroid, c) -> int:
     return int(value)
 
 
-def _remixed_at(r: int, cs: tuple, q: int) -> Fraction:
-    """A_c(q) at an integer q >= 2: the degree of the product of
-    gamma_{n_i}^{c_i} on the rank view of PG(r, q), whose flat sizes are
-    n_k = [k]_q, divided by q^(r(r+1)/2)."""
-    sizes = tuple((q**k - 1) // (q - 1) for k in range(r + 2))
+def remixed_polynomial(r: int, c) -> UniPoly:
+    """Remixed Eulerian polynomial A_c(q) for c a length-r vector summing to r.
+
+    On PG(r, q) the degree of the product of gamma_{n_i}^{c_i} is
+    q^(r(r+1)/2) A_c(q), and the rank view of the degree DP takes from the
+    flat sizes n_k = [k]_q only +, -, *, exact // and an order. So one run on
+    the [k]_q in Z[q], ordered with q above every integer, gives the degree
+    at every q; DivisionNotExact unless q^(r(r+1)/2) divides it.
+    """
+    if r < 1:
+        raise RankOutOfRange("need r >= 1")
+    cs = check_composition(c, r, r)
+    sizes = [UniPoly((1,) * k) for k in range(r + 2)]  # [k]_q = 1 + q + ... + q^(k-1)
     view = _rank_view(sizes, "oi", 1)  # oi weights are integers: scale 1
-    vs = tuple(size for size, exp in zip(sizes[1:], cs) for _ in range(exp))
-    return Fraction(_deg(view, {}, view.bottom, view.top, vs), q ** comb(r + 1, 2))
+    vs = tuple(sizes[k] for k in composition_to_indices(cs))
+    return _deg(view, {}, view.bottom, view.top, vs) // UniPoly.variable() ** comb(r + 1, 2)
 
 
 def remixed_eulerian_eval(r: int, c, q) -> Fraction:
-    """Remixed Eulerian number A_c(q) for c a length-r vector summing to r.
-
-    On the projective geometry of rank r + 1 over a field of order q the
-    degree of the product of gamma_{n_i}^{c_i} is q^(r(r+1)/2) A_c(q), and
-    the rank view of the degree DP needs only the flat sizes n_k = [k]_q.
-    At every integer q' >= 2 those sizes make each count and weight of the
-    view an integer polynomial in q', and A_c has degree at most C(r, 2).
-    So the values at q' = 2 .. C(r, 2) + 2 interpolate A_c exactly; one
-    point more checks the degree bound.
-    """
+    """Remixed Eulerian number A_c(q) at a rational q > 0: remixed_polynomial(r, c) at q."""
     if r < 1:
         raise RankOutOfRange("need r >= 1")
     qf = Fraction(q)
     if qf <= 0:
         raise PreconditionViolation("q must be positive")
-    cs = check_composition(c, r, r)
-    points = range(2, comb(r, 2) + 4)
-    # Newton divided differences, in place
-    coeffs = [_remixed_at(r, cs, p) for p in points]
-    for j in range(1, len(points)):
-        for i in range(len(points) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (points[i] - points[i - j])
-    if coeffs[-1]:
-        raise InternalError(f"A_{cs}(q) has degree above C({r}, 2)")
-    value = Fraction(0)
-    for x, coeff in zip(reversed(points[:-1]), reversed(coeffs[:-1])):
-        value = value * (qf - x) + coeff
-    return value
+    return remixed_polynomial(r, c)(qf)
 
 
 def pmd_recurrence_check(matroid: Matroid, c, i: int) -> bool:
@@ -160,22 +151,18 @@ def pmd_recurrence_check(matroid: Matroid, c, i: int) -> bool:
     + (n_{i+1} - n_i) A_{c, i -> i-1}; a move off either end lands outside
     the index range 1..n and its degree is zero.
     """
-    profile = pmd_profile(matroid)
+    pmd_profile(matroid)  # NotPMD unless size-perfect
     r = matroid.r
     cs = check_composition(c, r, r)
     if not 1 <= i <= r:
         raise PreconditionViolation(f"slot {i} out of range 1..{r}")
     if cs[i - 1] < 2:
         raise PreconditionViolation(f"slot {i} holds {cs[i - 1]}, needs >= 2")
-    n_ext = (0,) + profile.n_seq + (matroid.m,)
+    n_ext = matroid.level_sizes()
+    rest = composition_to_indices(cs[: i - 1] + (cs[i - 1] - 1,) + cs[i:])
 
     def moved_degree(target: int) -> int:
-        v = []
-        for slot in range(1, r + 1):
-            reps = cs[slot - 1] - (1 if slot == i else 0)
-            v.extend([n_ext[slot]] * reps)
-        v.append(n_ext[target])
-        return gamma_product_degree(matroid, tuple(v))
+        return gamma_product_degree(matroid, [n_ext[k] for k in rest + (target,)])
 
     base = moved_degree(i)
     lhs = (n_ext[i + 1] - n_ext[i - 1]) * base
@@ -194,12 +181,7 @@ def pg_identity_check(r: int, q: int, c):
     """
     geometry = build_projective_geometry(r, q)
     cs = check_composition(c, r, r)
-    profile = pmd_profile(geometry)
-    v = []
-    for size, exp in zip(profile.n_seq, cs):
-        v.extend([size] * exp)
-    lhs = gamma_product_degree(geometry, tuple(v))
-    rhs = Fraction(q) ** (r * (r + 1) // 2) * remixed_eulerian_eval(r, cs, q)
-    if rhs.denominator != 1:
-        raise InternalError(f"prediction {rhs} is not an integer")
-    return lhs, int(rhs), lhs == int(rhs)
+    sizes = geometry.level_sizes()
+    lhs = gamma_product_degree(geometry, [sizes[k] for k in composition_to_indices(cs)])
+    rhs = q ** comb(r + 1, 2) * remixed_polynomial(r, cs)(q)
+    return lhs, rhs, lhs == rhs

@@ -1,9 +1,10 @@
 """Small exact polynomial arithmetic over the integers.
 
-Just enough for Tutte and characteristic polynomials: a dense univariate
-type and a sparse bivariate type, both immutable, with integer coefficients
-throughout. Exact division is the only nontrivial operation and it refuses
-to be lossy. `format` gives the text the command line prints.
+Just enough for Tutte and characteristic polynomials and for running the
+degree DP over Z[q]: a dense univariate type and a sparse bivariate type,
+both immutable, with integer coefficients throughout. Exact division is the
+only nontrivial operation and it refuses to be lossy. `format` gives the
+text the command line prints.
 """
 
 from __future__ import annotations
@@ -72,6 +73,24 @@ class UniPoly:
 
     def __hash__(self):
         return hash(self.coeffs)
+
+    # Z[q] ordered with q above every integer: p > 0 when its leading coefficient
+    # is. On the [k]_q = 1 + q + ... + q^(k-1) that is the order of k at every q > 0.
+    def _lead_of_difference(self, other) -> int:
+        d = (self - other).coeffs
+        return d[-1] if d else 0
+
+    def __lt__(self, other):
+        return self._lead_of_difference(other) < 0
+
+    def __le__(self, other):
+        return self._lead_of_difference(other) <= 0
+
+    def __gt__(self, other):
+        return self._lead_of_difference(other) > 0
+
+    def __ge__(self, other):
+        return self._lead_of_difference(other) >= 0
 
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
@@ -148,6 +167,8 @@ class UniPoly:
         if any(rem[:d]):
             raise DivisionNotExact(f"nonzero remainder {rem[:d]}")
         return UniPoly(out)
+
+    __floordiv__ = divide_exact
 
     def format(self, var: str = "y") -> str:
         """Leading term first, e.g. "6*y^2 + 24*y + 60"."""

@@ -23,9 +23,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import VOutOfRange
 from .expansion import (
-    CONVENTIONS,
+    _check_convention,
     _find_gap,
     _validate_product,
     insertion_weight,
@@ -94,8 +93,7 @@ class PostnikovTree(namedtuple("PostnikovTree", "labels flats parent side")):
 
 def tree_weight(matroid: Matroid, tree: PostnikovTree, v, convention: str = "oi"):
     """Product of per-vertex insertion weights, from the tree data alone."""
-    if convention not in CONVENTIONS:
-        raise VOutOfRange(f"unknown weight convention {convention!r}")
+    _check_convention(convention)
     scale = weight_scale(matroid.m, convention)
     total = 1
     for pos in range(tree.size):
@@ -117,8 +115,7 @@ def enumerate_trees(matroid: Matroid, v, convention: str = "oi"):
 
     Aggregating the result by image flag reproduces expand_gamma_product.
     """
-    if convention not in CONVENTIONS:
-        raise VOutOfRange(f"unknown weight convention {convention!r}")
+    _check_convention(convention)
     vs = tuple(v)
     _validate_product(matroid, vs)
     out = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .errors import DivisionNotExact
+from .errors import DivisionNotExact, VOutOfRange
 from .matroid import Matroid, bits_of
 from .polynomials import PolyXY, UniPoly
 
@@ -83,7 +83,7 @@ def tutte_polynomial(matroid: Matroid, method: str = "corank-nullity") -> PolyXY
         return _tutte_corank_nullity(matroid)
     if method == "deletion-contraction":
         return _tutte_delcon(matroid, {}, matroid.full_mask, 0)
-    raise ValueError(f"unknown Tutte method {method!r}")
+    raise VOutOfRange(f"unknown Tutte method {method!r}")
 
 
 class CharData(namedtuple("CharData", "chi chi_reduced mu")):

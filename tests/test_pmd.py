@@ -1,6 +1,7 @@
 """Size-perfect matroids: profiles, closed forms, exchange, q-deformation."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,6 +32,7 @@ from mixeuler.pmd import (
     pmd_profile,
     pmd_recurrence_check,
     remixed_eulerian_eval,
+    remixed_polynomial,
 )
 
 FANO_LINES = [
@@ -176,6 +178,7 @@ class TestRemixed:
         table = remixed_by_exchange(r, q)
         for c in compositions(r, r):
             assert remixed_eulerian_eval(r, c, q) == table[c], c
+            assert remixed_polynomial(r, c)(Fraction(q)) == table[c], c
 
     def test_rank_two_values(self):
         for q in (1, 2, 3, Fraction(1, 2)):
@@ -226,6 +229,17 @@ class TestRemixed:
             assert remixed_eulerian_eval(r, c, 1) == mixed_eulerian_degree(
                 boolean, c
             ), c
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_polynomial_has_nonnegative_coefficients(self, r):
+        # every composition up to r = 6, a seeded sample of 40 above
+        comps = list(compositions(r, r))
+        if r > 6:
+            comps = random.Random(r).sample(comps, 40)
+        for c in comps:
+            poly = remixed_polynomial(r, c)
+            assert 0 <= poly.degree <= math.comb(r, 2), (c, poly)
+            assert all(isinstance(x, int) and x >= 0 for x in poly.coeffs), (c, poly)
 
     def test_values_are_positive(self):
         for c in compositions(4, 4):

@@ -16,7 +16,7 @@ from mixeuler import (
 )
 from mixeuler.expansion import count_initial_descending_flags, gamma_product_degree
 from mixeuler.polynomials import PolyXY, UniPoly
-from mixeuler.errors import DivisionNotExact
+from mixeuler.errors import DivisionNotExact, VOutOfRange
 from mixeuler.tutte import characteristic_data, tutte_polynomial
 
 FANO_LINES = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
@@ -98,7 +98,7 @@ def test_deletion_contraction_leaves_no_cycle():
 
 
 def test_unknown_method():
-    with pytest.raises(ValueError):
+    with pytest.raises(VOutOfRange):
         tutte_polynomial(build_uniform(2, 3), method="magic")
 
 
@@ -164,6 +164,29 @@ def test_divide_exact_refuses_remainder():
     lam = UniPoly.variable()
     with pytest.raises(DivisionNotExact):
         (lam**2 + 1).divide_exact(lam - 1)
+    with pytest.raises(DivisionNotExact):
+        (lam**2 + 1) // (lam - 1)
+    assert (lam**2 - 1) // (lam - 1) == lam + 1
+
+
+def test_unipoly_order_puts_q_above_every_integer():
+    lam = UniPoly.variable()
+    polys = [UniPoly(c) for c in ((), (-2,), (3,), (0, 1), (5, 1), (0, -1), (1, 0, 2), (-9, 0, 2))]
+    for a, b in itertools.product(polys, repeat=2):
+        assert (a == b) == (a <= b <= a)
+        assert (a < b) == (b > a) == (a <= b and a != b)
+        assert (a >= b) == (not a < b)
+    for k in (-3, 0, 7, 10**6):
+        assert lam > k and k < lam and -lam < k
+        assert UniPoly.constant(k) == k and UniPoly.constant(k) <= k <= UniPoly.constant(k)
+        assert (UniPoly.constant(k) < 1) == (k < 1)
+    assert max(0, lam - 5) == lam - 5 and max(0, 5 - lam) == 0
+    q_int = [UniPoly()]
+    for _ in range(6):
+        q_int.append(q_int[-1] * lam + 1)
+    for i, k in itertools.product(range(len(q_int)), repeat=2):
+        assert (q_int[i] < q_int[k]) == (i < k), (i, k)
+        assert (q_int[i] == q_int[k]) == (i == k), (i, k)
 
 
 @pytest.mark.parametrize(
