@@ -39,7 +39,11 @@ Engines:
   walks: every auto query on one matroid reuses the sub-interval degrees of
   the queries before it, and both die with the matroid.
 * "flag", the term-by-term flag expansion above. It is the reference oracle
-  the DP is tested against and the backend of expand_gamma_product.
+  the DP is tested against and the backend of expand_gamma_product. On a
+  product of length r every surviving term is a maximal flag, so it drops a
+  partial flag once the classes left cannot fill its gaps (_viable). Each
+  call keeps one table of the flats entering each gap (_entering), which
+  tree enumeration shares.
 
 pvol runs the same DP on the same view, with each flat's weight summed over
 every class index in closed form (_gap_weight_total).
@@ -215,27 +219,65 @@ def _find_gap(flag, val):
     return idx
 
 
+def _viable(rank, lo, g, hi, rest) -> bool:
+    """Whether a maximal flag can still grow once flat g enters the gap (lo, hi).
+
+    rest holds the classes still to insert and rank maps a flat to its rank.
+    Each of them lands in the one gap whose sizes straddle it, so (lo, g)
+    must receive exactly rank(g) - rank(lo) - 1 of them, (g, hi) exactly
+    rank(hi) - rank(g) - 1, and none may equal |g| (a hit, which kills the
+    term). The other gaps of the flag are as they were when they were made.
+    """
+    lo_size, g_size, hi_size = lo.bit_count(), g.bit_count(), hi.bit_count()
+    below = above = 0
+    for val in rest:
+        if lo_size < val < hi_size:
+            if val < g_size:
+                below += 1
+            elif val > g_size:
+                above += 1
+            else:
+                return False
+    return below == rank[g] - rank[lo] - 1 and above == rank[hi] - rank[g] - 1
+
+
+def _entering(matroid, table, lo, hi, vs, i, convention, scale):
+    """(g, weight times scale) for every flat g that class vs[i] puts into
+    the gap (lo, hi) with a nonzero weight, kept in table on (lo, hi, vs[i]).
+
+    For a product of length r, only the g after which the flag can still
+    become maximal (_viable). There the key fixes i too: every flag that
+    reaches a gap is viable, so the classes left inside it number
+    rank(hi) - rank(lo) - 1, and that count falls at each class it receives.
+    """
+    val = vs[i]
+    gap = table.get((lo, hi, val))
+    if gap is None:
+        rank = matroid._rank_of_flat
+        rest = vs[i + 1 :] if len(vs) == matroid.r else None
+        gap = table[lo, hi, val] = [
+            (g, wt)
+            for g in matroid.flats_strictly_between(lo, hi)
+            if (wt := insertion_weight(lo, hi, g, val, convention, scale))
+            and (rest is None or _viable(rank, lo, g, hi, rest))
+        ]
+    return gap
+
+
 def _expand(matroid, vs, convention, scale):
     """Flag -> weight times scale^len(vs), inserting the classes left to right."""
     full = matroid.full_mask
+    table = {}
     terms = {(): 1}
-    for val in vs:
+    for i, val in enumerate(vs):
         new = {}
-        entering = {}  # gap -> its flats with nonzero weight for this val
         for flag, w in terms.items():
             idx = _find_gap(flag, val)
             if idx is None:
                 continue
             lo = flag[idx - 1] if idx else 0
             hi = flag[idx] if idx < len(flag) else full
-            gap = entering.get((lo, hi))
-            if gap is None:
-                gap = entering[lo, hi] = [
-                    (g, wt)
-                    for g in matroid.flats_strictly_between(lo, hi)
-                    if (wt := insertion_weight(lo, hi, g, val, convention, scale))
-                ]
-            for g, wt in gap:
+            for g, wt in _entering(matroid, table, lo, hi, vs, i, convention, scale):
                 nf = flag[:idx] + (g,) + flag[idx:]
                 new[nf] = new.get(nf, 0) + w * wt
         terms = new

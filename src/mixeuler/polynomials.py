@@ -72,7 +72,8 @@ class UniPoly:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as the int it equals
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(sum(self.coeffs))
 
     # Z[q] ordered with q above every integer: p > 0 when its leading coefficient
     # is. On the [k]_q = 1 + q + ... + q^(k-1) that is the order of k at every q > 0.

@@ -11,11 +11,13 @@ in either the oi or mult convention, to the monomial of its image flag.
 Enumeration runs the flag expansion itself while recording where each flat
 lands in the chain; the insertion positions determine the tree uniquely
 (new vertex hangs off the more recently inserted of its two neighbors).
-Under oi, a flat whose insertion weight into its gap is zero is skipped at
-once: its gap neighbors are the ones the finished tree assigns that vertex,
-so every tree grown from it would weigh zero (mult weights are never zero).
-Weights are still recomputed from each finished tree, not carried along, so
-the aggregation tests genuinely cross-check the expansion engine.
+Each gap's flats come from the flag expansion's table (expansion._entering),
+which drops two kinds of flat at once. One has insertion weight zero (oi
+only): its gap neighbors are the ones the finished tree assigns that vertex,
+so every tree grown from it would weigh zero. The other, on a product of
+length r, leaves a chain that can no longer become maximal. Weights are
+still recomputed from each finished tree, not carried along, so the
+aggregation tests genuinely cross-check the expansion engine.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from fractions import Fraction
 
 from .expansion import (
     _check_convention,
+    _entering,
     _find_gap,
     _validate_product,
     insertion_weight,
@@ -119,16 +122,18 @@ def enumerate_trees(matroid: Matroid, v, convention: str = "oi"):
     vs = tuple(v)
     _validate_product(matroid, vs)
     out = []
-    _grow_trees(matroid, vs, convention, out, (), (), (), ())
+    scale = weight_scale(matroid.m, convention)
+    _grow_trees(matroid, vs, convention, scale, {}, out, (), (), (), ())
     return out
 
 
-def _grow_trees(matroid, vs, convention, out, chain, order, parent, side):
+def _grow_trees(matroid, vs, convention, scale, table, out, chain, order, parent, side):
     """Append to out every tree for vs that grows from a partial one.
 
     The partial tree is its chain of flats, its labels in search order and
-    the parent and side of each label. Module-level, as is _deg in
-    expansion, so that no call leaves a cycle.
+    the parent and side of each label; table is the call's gap table for
+    expansion._entering. Module-level, as is _deg in expansion, so that no
+    call leaves a cycle.
     """
     depth = len(order)
     if depth == len(vs):
@@ -153,15 +158,12 @@ def _grow_trees(matroid, vs, convention, out, chain, order, parent, side):
         p, s = left_lab, "right"
     else:
         p, s = right_lab, "left"
-    for g in matroid.flats_strictly_between(lo, hi):
-        # the finished tree reads the same lo and hi for this vertex, so a
-        # zero here makes its weight zero; a mult weight min(s, k) - ks/u is
-        # never zero inside a gap, where 0 < s, k < u
-        if convention == "oi" and not insertion_weight(lo, hi, g, val, "oi", 1):
-            continue
+    for g, _ in _entering(matroid, table, lo, hi, vs, depth, convention, scale):
         chain_g = chain[:idx] + (g,) + chain[idx:]
         order_g = order[:idx] + (label,) + order[idx:]
-        _grow_trees(matroid, vs, convention, out, chain_g, order_g, parent + (p,), side + (s,))
+        _grow_trees(
+            matroid, vs, convention, scale, table, out, chain_g, order_g, parent + (p,), side + (s,)
+        )
 
 
 def aggregate_by_flag(terms):

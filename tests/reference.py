@@ -10,13 +10,15 @@ flat of the ranks strictly between. Localization tallies permutations by a
 DP over prefix sets; perm_classes_walk visits all m! orderings on a prefix
 tree. Tree enumeration skips flats of zero insertion weight;
 trees_unpruned grows every tree and lets tree_weight drop the zero ones.
+The flag expansion of a full-length product drops partial flags that
+cannot become maximal; expand_unpruned grows every one of them.
 The remixed Eulerian numbers come from the degree DP's rank view;
 remixed_by_exchange solves their defining linear system instead.
 """
 
 from fractions import Fraction
 
-from mixeuler.expansion import _find_gap, compositions
+from mixeuler.expansion import _find_gap, compositions, insertion_weight
 from mixeuler.trees import PostnikovTree, tree_weight
 
 
@@ -97,6 +99,34 @@ def _walk_perms(closure, full, classes, used_mask, closure_mask, last_img, pos, 
             k_set + (pos,) if nxt != closure_mask else k_set,
             des_set | {pos - 1} if pos > 0 and last_img > img else des_set,
         )
+
+
+def expand_unpruned(matroid, vs, convention, scale) -> dict:
+    """Flag -> weight times scale^len(vs), as expansion._expand, growing
+    every flat of nonzero weight in every gap at every step."""
+    full = matroid.full_mask
+    terms = {(): 1}
+    for val in vs:
+        new = {}
+        entering = {}  # gap -> its flats with nonzero weight for this val
+        for flag, w in terms.items():
+            idx = _find_gap(flag, val)
+            if idx is None:
+                continue
+            lo = flag[idx - 1] if idx else 0
+            hi = flag[idx] if idx < len(flag) else full
+            gap = entering.get((lo, hi))
+            if gap is None:
+                gap = entering[lo, hi] = [
+                    (g, wt)
+                    for g in matroid.flats_strictly_between(lo, hi)
+                    if (wt := insertion_weight(lo, hi, g, val, convention, scale))
+                ]
+            for g, wt in gap:
+                nf = flag[:idx] + (g,) + flag[idx:]
+                new[nf] = new.get(nf, 0) + w * wt
+        terms = new
+    return terms
 
 
 def trees_unpruned(matroid, vs, convention: str = "oi") -> list:

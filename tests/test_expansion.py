@@ -15,8 +15,10 @@ from mixeuler import (
     build_uniform,
     mask_of,
 )
+from mixeuler.catalog import named_catalog
 from mixeuler.errors import CompositionMismatch, VOutOfRange
 from mixeuler.expansion import (
+    _viable,
     check_composition,
     composition_to_indices,
     compositions,
@@ -27,9 +29,10 @@ from mixeuler.expansion import (
     log_concavity_check,
     mixed_eulerian_degree,
     pvol,
+    weight_scale,
 )
 
-from reference import mult_weight, oi_weight
+from reference import expand_unpruned, mult_weight, oi_weight, trees_unpruned
 
 
 def eulerian_number(n, k):
@@ -177,6 +180,71 @@ def test_degree_is_order_invariant():
         ex = expand_gamma_product(m, w)
         deg = sum(wt for flag, wt in ex.terms.items() if len(flag) == m.r)
         assert deg == base
+
+
+SMALL = {name: m for name, m in named_catalog().items() if m.m <= 7}
+
+
+@pytest.mark.parametrize("convention", ["oi", "mult"])
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_pruned_expansion_matches_unpruned(name, convention):
+    m = SMALL[name]
+    scale = weight_scale(m.m, convention)
+
+    def unpruned(vs):
+        terms = expand_unpruned(m, vs, convention, scale)
+        if convention == "mult":
+            return {flag: Fraction(w, scale ** len(vs)) for flag, w in terms.items()}
+        return terms
+
+    for c in compositions(m.r, m.n):
+        vs = composition_to_indices(c)
+        for order in (vs, vs[::-1]):
+            want = unpruned(order)
+            assert expand_gamma_product(m, order, convention).terms == want, order
+            assert gamma_product_degree(m, order, convention, "flag") == sum(want.values())
+    rng = random.Random(20261019)
+    for _ in range(12 if m.r else 0):
+        vs = tuple(rng.randint(1, m.n) for _ in range(rng.randrange(m.r)))
+        assert expand_gamma_product(m, vs, convention).terms == unpruned(vs), vs
+
+
+@pytest.mark.parametrize("name", ["b4", "u36", "fano", "sp361"])
+def test_every_insertion_of_a_maximal_flag_is_viable(name):
+    m = SMALL[name]
+    rank = m._rank_of_flat
+    for convention in ("oi", "mult"):
+        scale = weight_scale(m.m, convention)
+        for c in compositions(m.r, m.n):
+            vs = composition_to_indices(c)
+            for order in (vs, vs[::-1]):
+                trees = [t for t, _ in trees_unpruned(m, order, convention)]
+                flags = expand_unpruned(m, order, convention, scale)
+                assert {t.flats for t in trees} == set(flags), order
+                for tree in trees:
+                    for t in range(1, tree.size + 1):
+                        left, right = tree.neighbors_at_insertion(t)
+                        lo = 0 if left is None else tree.flats[left]
+                        hi = m.full_mask if right is None else tree.flats[right]
+                        g = tree.flats[tree.position_of_label(t)]
+                        assert _viable(rank, lo, g, hi, order[t:]), (order, tree)
+
+
+def test_viable_counts_each_gap_and_rejects_hits():
+    m = build_boolean(4)  # rank 4: a maximal flag has flats of sizes 1, 2, 3
+    rank = m._rank_of_flat
+    point, line = mask_of([0]), mask_of([0, 1])
+    assert _viable(rank, 0, point, m.full_mask, (2, 3))
+    assert not _viable(rank, 0, point, m.full_mask, (1, 2, 3))  # 1 hits |point|
+    assert not _viable(rank, 0, point, m.full_mask, (3,))
+    assert not _viable(rank, 0, point, m.full_mask, (2, 2, 3))
+    assert _viable(rank, 0, line, m.full_mask, (1, 3))
+    assert not _viable(rank, 0, line, m.full_mask, (3, 3))
+    assert not _viable(rank, 0, line, m.full_mask, (1, 1))
+    assert not _viable(rank, 0, line, m.full_mask, (1, 2, 3))
+    # classes outside the gap belong to other gaps
+    assert _viable(rank, point, line, m.full_mask, (3,))
+    assert _viable(rank, point, line, mask_of([0, 1, 2]), ())
 
 
 def test_sizes_engine_matches_flag_engine_exhaustively(rank_view_only):

@@ -189,6 +189,17 @@ def test_unipoly_order_puts_q_above_every_integer():
         assert (q_int[i] == q_int[k]) == (i == k), (i, k)
 
 
+def test_unipoly_hash_agrees_with_equality():
+    assert len({UniPoly.constant(3), 3}) == 1
+    assert len({UniPoly(), 0}) == 1
+    lam = UniPoly.variable()
+    sample = [0, 1, -2, 3, 10**20, UniPoly(), UniPoly((0, 0)), UniPoly.constant(-2)]
+    sample += [UniPoly.constant(3), UniPoly((3, 0)), lam, lam + 1, lam * lam + 1, 1 + lam]
+    for a, b in itertools.product(sample, repeat=2):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+
+
 @pytest.mark.parametrize(
     "coeffs,var,text",
     [
