@@ -39,11 +39,13 @@ Engines:
   walks: every auto query on one matroid reuses the sub-interval degrees of
   the queries before it, and both die with the matroid.
 * "flag", the term-by-term flag expansion above. It is the reference oracle
-  the DP is tested against and the backend of expand_gamma_product. On a
-  product of length r every surviving term is a maximal flag, so it drops a
-  partial flag once the classes left cannot fill its gaps (_viable). Each
-  call keeps one table of the flats entering each gap (_entering), which
-  tree enumeration shares.
+  the DP is tested against and the backend of expand_gamma_product. It drops
+  a partial flag as soon as it must die: a flat whose size is a class still
+  to insert (a hit), and, on a product of length r, where every surviving
+  term is a maximal flag, a flag whose gaps the classes left cannot fill
+  (_viable). The matroid keeps the nonzero insertion weights of each gap and
+  class for it, apart from the DP's memo; each call filters them in a table
+  of its own (_entering), which tree enumeration shares.
 
 pvol runs the same DP on the same view, with each flat's weight summed over
 every class index in closed form (_gap_weight_total).
@@ -243,24 +245,33 @@ def _viable(rank, lo, g, hi, rest) -> bool:
 
 def _entering(matroid, table, lo, hi, vs, i, convention, scale):
     """(g, weight times scale) for every flat g that class vs[i] puts into
-    the gap (lo, hi) with a nonzero weight, kept in table on (lo, hi, vs[i]).
+    the gap (lo, hi) with a nonzero weight and after which the flag can
+    still finish, kept in the call's table on (lo, hi, i).
 
-    For a product of length r, only the g after which the flag can still
-    become maximal (_viable). There the key fixes i too: every flag that
-    reaches a gap is viable, so the classes left inside it number
-    rank(hi) - rank(lo) - 1, and that count falls at each class it receives.
+    The weights come from the matroid's table (Matroid._gap_weights), on
+    (convention, lo, hi, vs[i]), which every call shares. Only the filter is
+    per call, and it reads the classes still to insert, vs[i + 1:]: a g whose
+    size is one of them dies there at any length (a hit), and on a product of
+    length r the g must pass _viable. Since no flag that reaches a gap carries
+    a hit, _find_gap always finds one.
     """
-    val = vs[i]
-    gap = table.get((lo, hi, val))
+    gap = table.get((lo, hi, i))
     if gap is None:
-        rank = matroid._rank_of_flat
-        rest = vs[i + 1 :] if len(vs) == matroid.r else None
-        gap = table[lo, hi, val] = [
-            (g, wt)
-            for g in matroid.flats_strictly_between(lo, hi)
-            if (wt := insertion_weight(lo, hi, g, val, convention, scale))
-            and (rest is None or _viable(rank, lo, g, hi, rest))
-        ]
+        val = vs[i]
+        weights = matroid._gap_weights.get((convention, lo, hi, val))
+        if weights is None:
+            weights = matroid._gap_weights[convention, lo, hi, val] = [
+                (g, wt)
+                for g in matroid.flats_strictly_between(lo, hi)
+                if (wt := insertion_weight(lo, hi, g, val, convention, scale))
+            ]
+        rest = vs[i + 1 :]
+        if len(vs) == matroid.r:
+            rank = matroid._rank_of_flat
+            gap = [(g, wt) for g, wt in weights if _viable(rank, lo, g, hi, rest)]
+        else:
+            gap = [(g, wt) for g, wt in weights if g.bit_count() not in rest]
+        table[lo, hi, i] = gap
     return gap
 
 
@@ -273,8 +284,6 @@ def _expand(matroid, vs, convention, scale):
         new = {}
         for flag, w in terms.items():
             idx = _find_gap(flag, val)
-            if idx is None:
-                continue
             lo = flag[idx - 1] if idx else 0
             hi = flag[idx] if idx < len(flag) else full
             for g, wt in _entering(matroid, table, lo, hi, vs, i, convention, scale):

@@ -151,6 +151,13 @@ class Matroid:
         # convention -> (view, memo) of the auto degree engine (expansion.py),
         # filled by the first degree query under that convention
         self._degree_memos = {}
+        # (convention, lo, hi, val) -> [(g, scaled weight)] of the flats of
+        # nonzero weight that gamma_val puts into the gap (lo, hi), filled by
+        # the flag oracle (expansion._entering); the auto engine never reads it
+        self._gap_weights = {}
+        # convention -> {(canonical_key(), v, s): C(v, s)} over the minors that
+        # recursion.deletion_contraction_degree reached from this matroid
+        self._delcon = {}
         # (T_M(1, y), the Boolean matroid of the same rank) of
         # recursion.cv_via_tutte_convolution, set by its first call; the
         # Boolean keeps its own degree memo warm across calls

@@ -16,7 +16,10 @@ other:
 
 Minors come from the parent's memo (Matroid.minor_interval, delete_element):
 a repeated call, or a sibling minor with the same lattice, reuses a child
-whose degree memo is already warm.
+whose degree memo is already warm. Deletion/contraction also keeps C(v, s)
+of every minor it reached on the matroid a call starts from (Matroid._delcon),
+one memo per convention, so the next call recurses only into minors, vectors
+and s it has not met.
 
 Throughout, C(v, s) means the degree of the product of gamma_{v_i} times
 gamma_n^s, with value 0 whenever a component leaves 1..n or the length is
@@ -200,7 +203,9 @@ def deletion_contraction_degree(
     bumping the first k-1 surviving indices and shifting everything down by
     p; a coloop contributes the deletion at s - 1 instead (dropped when
     s = 0) with shift 1. Children recurse while they satisfy the same
-    conditions and otherwise fall back to the interval DP.
+    conditions and otherwise fall back to the interval DP. Their values are
+    kept on the matroid, one memo per convention keyed by the child's lattice,
+    so later calls reuse every minor an earlier one reached.
     """
     vs = tuple(v)
     if matroid.rank_total < 3:
@@ -224,7 +229,8 @@ def deletion_contraction_degree(
             raise PreconditionViolation("support must be an integer interval")
     if s != 0 and (not vs or vs[0] != 1):
         raise PreconditionViolation("s > 0 needs the vector to start at 1")
-    return _dc_step(matroid, vs, s, i, convention, {})
+    memo = matroid._delcon.setdefault(convention, {})
+    return _dc_step(matroid, vs, s, i, convention, memo)
 
 
 def two_block_degree(matroid: Matroid, v_block, w_block, convention: str = "oi") -> int:

@@ -14,14 +14,18 @@ lands in the chain; the insertion positions determine the tree uniquely
 Each gap's flats come from the flag expansion's table (expansion._entering),
 which drops two kinds of flat at once. One has insertion weight zero (oi
 only): its gap neighbors are the ones the finished tree assigns that vertex,
-so every tree grown from it would weigh zero. The other, on a product of
-length r, leaves a chain that can no longer become maximal. Weights are
-still recomputed from each finished tree, not carried along, so the
-aggregation tests genuinely cross-check the expansion engine.
+so every tree grown from it would weigh zero. The other leaves a chain that
+can no longer finish: its size is a class still to insert, or, on a product
+of length r, the chain can no longer become maximal. Weights are still
+recomputed from each finished tree, not carried along, so the aggregation
+tests genuinely cross-check the expansion engine. tree_weight finds every
+vertex's insertion neighbors in one pass over the labels, keeping the
+search positions inserted so far sorted (_insertion_neighbors).
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import namedtuple
 from fractions import Fraction
 
@@ -97,20 +101,42 @@ class PostnikovTree(namedtuple("PostnikovTree", "labels flats parent side")):
 def tree_weight(matroid: Matroid, tree: PostnikovTree, v, convention: str = "oi"):
     """Product of per-vertex insertion weights, from the tree data alone."""
     _check_convention(convention)
-    scale = weight_scale(matroid.m, convention)
+    return _tree_weight(matroid, tree, v, convention, weight_scale(matroid.m, convention))
+
+
+def _tree_weight(matroid, tree, v, convention, scale):
+    """tree_weight, with the convention checked and its scale given."""
+    flats = tree.flats
+    full = matroid.full_mask
     total = 1
-    for pos in range(tree.size):
-        t = tree.labels[pos]
-        val = v[t - 1]
-        left, right = tree.neighbors_at_insertion(t)
-        lo = 0 if left is None else tree.flats[left]
-        hi = matroid.full_mask if right is None else tree.flats[right]
+    for t, (pos, left, right) in enumerate(_insertion_neighbors(tree.labels)):
+        val = v[t]
+        lo = 0 if left is None else flats[left]
+        hi = full if right is None else flats[right]
         if not lo.bit_count() < val < hi.bit_count():
             return 0
-        total *= insertion_weight(lo, hi, tree.flats[pos], val, convention, scale)
+        total *= insertion_weight(lo, hi, flats[pos], val, convention, scale)
         if not total:
             break
     return Fraction(total, scale**tree.size) if convention == "mult" else total
+
+
+def _insertion_neighbors(labels):
+    """(position, left, right) for labels 1, 2, ... in turn: the search
+    position of the label and those of its chain neighbors when it arrived,
+    None at a boundary, as PostnikovTree.neighbors_at_insertion gives them.
+
+    One pass: the positions inserted so far stay sorted, and the neighbors
+    of a new one are its two sides there.
+    """
+    position = [0] * len(labels)
+    for pos, t in enumerate(labels):
+        position[t - 1] = pos
+    placed = []
+    for pos in position:
+        j = bisect(placed, pos)
+        yield pos, placed[j - 1] if j else None, placed[j] if j < len(placed) else None
+        placed.insert(j, pos)
 
 
 def enumerate_trees(matroid: Matroid, v, convention: str = "oi"):
@@ -138,14 +164,11 @@ def _grow_trees(matroid, vs, convention, scale, table, out, chain, order, parent
     depth = len(order)
     if depth == len(vs):
         tree = PostnikovTree(order, chain, parent, side)
-        w = tree_weight(matroid, tree, vs, convention)
+        w = _tree_weight(matroid, tree, vs, convention, scale)
         if w:
             out.append((tree, w))
         return
-    val = vs[depth]
-    idx = _find_gap(chain, val)
-    if idx is None:
-        return
+    idx = _find_gap(chain, vs[depth])
     lo = chain[idx - 1] if idx else 0
     hi = chain[idx] if idx < len(chain) else matroid.full_mask
     label = depth + 1

@@ -1,4 +1,5 @@
-"""The auto engine's memo, kept on its matroid and shared by every degree query."""
+"""The auto engine's memo, kept on its matroid and shared by every degree
+query, and the tables the flag oracle and deletion/contraction keep beside it."""
 
 import gc
 import random
@@ -13,10 +14,13 @@ from mixeuler.expansion import (
     CONVENTIONS,
     composition_to_indices,
     compositions,
+    expand_gamma_product,
     mixed_eulerian_degree,
     pvol,
 )
 from mixeuler.matroid import Matroid
+from mixeuler.recursion import classify_support, deletion_contraction_degree
+from mixeuler.trees import enumerate_trees
 
 from seeded import seeded_sparse_paving
 from test_matroid import fresh
@@ -79,6 +83,37 @@ def test_memo_dies_without_the_cycle_collector(make):
         alive = weakref.ref(m)
         del m
         assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_projective_geometry(2, 2), lambda: seeded_sparse_paving(8, 4, 20241101)],
+    ids=["pg:2,2", "sparse paving on 8"],
+)
+def test_oracle_tables_die_without_the_cycle_collector(make):
+    def fill(m):
+        for conv in CONVENTIONS:
+            for c in compositions(m.r, m.n):
+                vs = composition_to_indices(c)
+                expand_gamma_product(m, vs, conv)
+                enumerate_trees(m, vs[::-1], conv)
+                if classify_support(m, vs).contiguous:
+                    deletion_contraction_degree(m, vs, 0, 0, conv)
+
+    fill(make())  # warm-up: imports what the oracles use
+    gc.collect()
+    gc.disable()
+    try:
+        m = make()
+        fill(m)
+        assert m._gap_weights
+        assert set(m._delcon) == set(CONVENTIONS) and all(m._delcon.values())
+        alive = weakref.ref(m)
+        del m
+        assert alive() is None
+        assert gc.collect() == 0
     finally:
         gc.enable()
 

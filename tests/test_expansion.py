@@ -18,6 +18,7 @@ from mixeuler import (
 from mixeuler.catalog import named_catalog
 from mixeuler.errors import CompositionMismatch, VOutOfRange
 from mixeuler.expansion import (
+    _entering,
     _viable,
     check_composition,
     composition_to_indices,
@@ -245,6 +246,22 @@ def test_viable_counts_each_gap_and_rejects_hits():
     # classes outside the gap belong to other gaps
     assert _viable(rank, point, line, m.full_mask, (3,))
     assert _viable(rank, point, line, mask_of([0, 1, 2]), ())
+
+
+def test_entering_filters_the_shared_weights_per_call():
+    m = build_boolean(4)  # r = 3, so (2, 1) is a shorter product
+    full = m.full_mask
+    table = {}
+    gap = _entering(m, table, 0, full, (2, 1), 0, "oi", 1)
+    # a point would be hit by the class 1 still to come: only lines and planes
+    assert gap and {g.bit_count() for g, _ in gap} <= {2, 3}
+    assert table == {(0, full, 0): gap}
+    kept = m._gap_weights["oi", 0, full, 2]
+    assert {g.bit_count() for g, _ in kept} == {1, 2, 3}
+    assert all(wt for _, wt in kept) and set(gap) <= set(kept)
+    # another call, with nothing left after the class, filters the same weights anew
+    assert _entering(m, {}, 0, full, (2,), 0, "oi", 1) == kept
+    assert list(m._gap_weights) == [("oi", 0, full, 2)]
 
 
 def test_sizes_engine_matches_flag_engine_exhaustively(rank_view_only):

@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import mixeuler
 from mixeuler import cli
-from mixeuler.expansion import gamma_product_degree, pvol
+from mixeuler.expansion import expand_gamma_product, gamma_product_degree, pvol
 from mixeuler.localization import gamma_degree_via_localization
 from mixeuler.matroid import build_projective_geometry, build_uniform
 from mixeuler.pmd import remixed_eulerian_eval
-from mixeuler.recursion import cv_via_tutte_convolution
+from mixeuler.recursion import cv_via_tutte_convolution, deletion_contraction_degree
 from mixeuler.trees import enumerate_trees
 from mixeuler.tutte import tutte_polynomial
 
@@ -52,6 +52,8 @@ def test_no_module_level_container_grows(capsys):
     tutte_polynomial(u35)
     cv_via_tutte_convolution(u35, (1, 1))
     enumerate_trees(u35, (2, 2))
+    expand_gamma_product(fano, (3, 1), "mult")
+    deletion_contraction_degree(u35, (1, 2), 0, 4)
     remixed_eulerian_eval(3, (1, 1, 1), Fraction(7, 13))  # a q no other test asks for
     assert cli.run(["check", "--suite", "all", "--matroid", "pg:2,2"]) == 0
     capsys.readouterr()

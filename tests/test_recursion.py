@@ -223,6 +223,31 @@ def test_delcon_sweep_matches_oracle(convention):
                     assert got == want, (name, v, s, i)
 
 
+@pytest.mark.parametrize(
+    "name", sorted(name for name, m in SMALL_CATALOG.items() if m.rank_total >= 3)
+)
+def test_delcon_memo_across_calls_matches_flag(name):
+    # every (v, s) of the relation's domain under both conventions, shuffled,
+    # at random pivots on one matroid that keeps its memo across the calls
+    shared, oracle = fresh(SMALL_CATALOG[name]), fresh(SMALL_CATALOG[name])
+    n, r = shared.n, shared.r
+    rng = random.Random(f"delcon-{name}")
+    calls = [
+        (v, s, convention)
+        for s in range(r)
+        for v in contiguous_sorted_vectors(n, r - s)
+        if s == 0 or v[0] == 1
+        for convention in CONVENTIONS
+    ]
+    rng.shuffle(calls)
+    for v, s, convention in calls:
+        want = gamma_product_degree(oracle, v + (n,) * s, convention, "flag")
+        got = deletion_contraction_degree(shared, v, s, rng.randrange(shared.m), convention)
+        assert got == want, (v, s, convention)
+    assert set(shared._delcon) == set(CONVENTIONS)
+    assert all(shared._delcon.values())
+
+
 # ---------------------------------------------------------------------------
 # two-block reduction
 

@@ -4,6 +4,8 @@ import gc
 import random
 import weakref
 from collections import Counter
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -17,14 +19,23 @@ from mixeuler import (
 from mixeuler.catalog import named_catalog
 from mixeuler.errors import VOutOfRange
 from mixeuler.expansion import (
+    CONVENTIONS,
     composition_to_indices,
     compositions,
     expand_gamma_product,
     gamma_product_degree,
+    weight_scale,
 )
-from mixeuler.trees import PostnikovTree, aggregate_by_flag, enumerate_trees, tree_weight
+from mixeuler.trees import (
+    PostnikovTree,
+    _insertion_neighbors,
+    aggregate_by_flag,
+    enumerate_trees,
+    tree_weight,
+)
 
-from reference import trees_unpruned
+from reference import expand_unpruned, trees_unpruned
+from test_matroid import fresh
 
 
 def test_worked_example_figure_tree():
@@ -111,6 +122,77 @@ def test_pruned_enumeration_matches_unpruned(name, convention):
         vs = composition_to_indices(c)
         got = Counter(enumerate_trees(m, vs, convention))
         assert got == Counter(trees_unpruned(m, vs, convention)), c
+
+
+def unpruned_terms(m, vs, convention):
+    """expand_gamma_product(m, vs, convention).terms as the reference grows them."""
+    scale = weight_scale(m.m, convention)
+    terms = expand_unpruned(m, vs, convention, scale)
+    if convention == "mult":
+        return {flag: Fraction(w, scale ** len(vs)) for flag, w in terms.items()}
+    return terms
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_shared_matroid_matches_fresh_unpruned(name):
+    # one matroid keeps its gap weights across every call, in any order of
+    # products, lengths, conventions and oracles; the reference runs on a
+    # matroid of its own
+    shared, oracle = fresh(SMALL[name]), fresh(SMALL[name])
+    rng = random.Random(f"shared-{name}")
+    full = [composition_to_indices(c) for c in compositions(shared.r, shared.n)]
+    shorter = [
+        tuple(rng.randint(1, shared.n) for _ in range(rng.randrange(shared.r)))
+        for _ in range(12 if shared.r else 0)
+    ]
+    calls = [
+        (kind, vs, convention)
+        for vs in full + [vs[::-1] for vs in full] + shorter
+        for kind in ("expand", "trees")
+        for convention in CONVENTIONS
+    ]
+    rng.shuffle(calls)
+    for kind, vs, convention in calls[:80]:
+        if kind == "expand":
+            got = expand_gamma_product(shared, vs, convention).terms
+            assert got == unpruned_terms(oracle, vs, convention), (vs, convention)
+        else:
+            got = Counter(enumerate_trees(shared, vs, convention))
+            assert got == Counter(trees_unpruned(oracle, vs, convention)), (vs, convention)
+    assert bool(shared._gap_weights) == bool(shared.r)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_a_gap_and_class_met_at_two_steps_of_a_shorter_product(convention):
+    # on b6, class 2 reaches the gap (empty set, a 3-set H) at step 1 (3 puts
+    # H in first) with another 2 still to come, which kills every 2-set
+    # there, and at step 2 (3 puts a 4-set in first and 2 then puts H below
+    # it) with nothing to come; the second must not read the first's filter
+    m = fresh(SMALL["b6"])
+    vs = (3, 2, 2)
+    assert Counter(enumerate_trees(m, vs, convention)) == Counter(trees_unpruned(m, vs, convention))
+    assert expand_gamma_product(m, vs, convention).terms == unpruned_terms(m, vs, convention)
+    assert any(len(flag) == 3 and flag[0].bit_count() == 2 for flag in unpruned_terms(m, vs, convention))
+
+
+def test_one_pass_neighbors_match_the_scan():
+    # the neighbors read the labels alone, and every labeling of at most six
+    # vertices covers every tree of the catalog matroids with at most seven
+    # elements (r <= 5)
+    labelings = {p for k in range(7) for p in permutations(range(1, k + 1))}
+    for m in SMALL.values():
+        rng = random.Random(f"neighbors-{m.m}-{m.rank_total}")
+        for c in compositions(m.r, m.n):
+            vs = list(composition_to_indices(c))
+            for order in (vs, vs[::-1], rng.sample(vs, len(vs))):
+                assert {tree.labels for tree, _ in enumerate_trees(m, order)} <= labelings
+    for labels in labelings:
+        tree = PostnikovTree(labels, (0,) * len(labels), (), ())
+        want = [
+            (tree.position_of_label(t), *tree.neighbors_at_insertion(t))
+            for t in range(1, len(labels) + 1)
+        ]
+        assert list(_insertion_neighbors(labels)) == want, labels
 
 
 def test_all_ones_gives_left_path():
