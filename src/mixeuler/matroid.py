@@ -1,7 +1,8 @@
 """Loopless matroids on ground sets {0, ..., n} with exact lattice queries.
 
 A matroid is stored as the cover table of its lattice of flats, each flat an
-integer bitmask: step[f][x] is the flat covering f that gains element x.
+integer bitmask and each row a tuple indexed by element: step[f][x] is the
+closure of f and x, the cover of f that gains x, or f itself when x is in f.
 Levels and ranks are read off the table by walking up from the empty set,
 and rank and closure queries walk it too, never re-running a rank oracle.
 The constructors of uniform, basis, sparse paving and projective matroids
@@ -9,7 +10,8 @@ share one upward walk that asks for one closure per cover, since the covers
 of a flat partition its complement. Basis and sparse paving matroids get it
 from a rank oracle; a projective geometry takes the span of the flat and
 the new point, a union of lines it computed once from the coordinate
-vectors. Minors and truncations copy and relabel their parent's rows;
+vectors. Minors relabel their parent's rows, one int object per flat, and
+truncations share the rows of the levels they keep;
 build_from_flats, the one constructor of outside lattices, scans adjacent
 levels for the covers and checks them.
 
@@ -88,6 +90,14 @@ def _squeeze(mask: int, gone) -> int:
     return mask
 
 
+def _ground_mask(elements, m: int, what: str) -> int:
+    """mask_of(elements), raising SizeViolation for an element outside 0..m-1."""
+    elements = tuple(elements)
+    if any(not 0 <= e < m for e in elements):
+        raise SizeViolation(f"{what} {sorted(elements)} leaves the ground set")
+    return mask_of(elements)
+
+
 def largest_elements_mask(universe: int, count: int) -> int:
     """Mask of the `count` largest elements of `universe`."""
     out = 0
@@ -120,10 +130,11 @@ class MinorMap(namedtuple("MinorMap", "parent_elements rank_dropped", defaults=(
 class Matroid:
     """A loopless matroid, stored as the cover table of its lattice of flats.
 
-    step[f][x] is the cover of flat f that gains element x, with a row for
-    every flat (the ground set's is empty). The initializer reads the
-    levels and ranks off the table and otherwise trusts it: use the
-    module-level build_* constructors and the minor methods, which supply it.
+    step[f] is a tuple of length m for every flat f: step[f][x] is the
+    closure of f and element x, the cover of f that gains x, or f itself
+    when x is in f. The initializer reads the levels and ranks off the table
+    and checks only the shape of the rows it reads: use the module-level
+    build_* constructors and the minor methods, which supply the table.
 
     A matroid never changes, so it memoises its interval queries, degree
     engines and minors; a minor asked again, after its arguments are checked,
@@ -137,7 +148,10 @@ class Matroid:
         self.full_mask = full = (1 << m) - 1
         levels = [(0,)]
         while levels[-1] != (full,):
-            level = tuple(sorted({g for f in levels[-1] for g in step[f].values()}))
+            rows = [step[f] for f in levels[-1]]
+            if any(type(row) is not tuple or len(row) != m for row in rows):
+                raise InternalError("cover table row is not a tuple indexed by element")
+            level = tuple(sorted(set().union(*rows).difference(levels[-1])))
             if not level or (full in level and len(level) > 1):
                 raise InternalError("cover table is not graded")
             levels.append(level)
@@ -311,8 +325,8 @@ class Matroid:
 
         Both arguments must be flats with lower contained in upper. Flats of
         the minor are exactly the flats of self between them, relabeled in
-        induced element order, and so are their rows of covers, cut to the
-        elements of upper.
+        induced element order, and so are their rows, cut to the elements of
+        upper outside lower.
         """
         if lower & upper != lower:
             raise NotAFlat("lower flat is not contained in upper flat")
@@ -322,15 +336,11 @@ class Matroid:
         if got is not None:
             return got
         elements = set_of(upper & ~lower)
-        position = {e: i for i, e in enumerate(elements)}
         gone = set_of(self.full_mask & ~upper | lower)[::-1]
         flats = (lower, *self.flats_strictly_between(lower, upper), upper)
         child_of = {g: _squeeze(g, gone) for g in flats}
         step = {
-            child_of[g]: {
-                position[x]: child_of[h] for x, h in self._cover_step[g].items() if x in position
-            }
-            for g in flats
+            child_of[g]: tuple(child_of[self._cover_step[g][x]] for x in elements) for g in flats
         }
         child = Matroid(len(elements), step, provenance="minor")
         return self._keep_minor((lower, upper), child, MinorMap(elements))
@@ -346,8 +356,8 @@ class Matroid:
 
         The flats of M minus i are the sets F - i over the flats F of M. The
         closure of F - i in M is F - i when that is a flat of M and F
-        otherwise, so the cover of F - i gaining x is the row of that
-        closure at x, minus i.
+        otherwise, so the row of F - i at x is the row of that closure at x,
+        minus i. Each flat is squeezed once, and every row refers to it.
         """
         if not 0 <= i < self.m:
             raise RankOutOfRange(f"element {i} out of range")
@@ -357,14 +367,16 @@ class Matroid:
         if got is not None:
             return got
         bit = 1 << i
+        child_of = {}  # level order: F - i, when a flat of M, comes before F
+        for f in self._rank_of_flat:
+            g = f & ~bit
+            child_of[f] = child_of[g] if g in child_of else _squeeze(g, (i,))
         step = {}
         for f, row in self._cover_step.items():
             g = f & ~bit
             if g != f and g in self._rank_of_flat:
                 continue  # F - i is a flat of M, with a row of its own
-            step[_squeeze(g, (i,))] = {
-                x - (x > i): _squeeze(row[x], (i,)) for x in bits_of(self.full_mask & ~(f | bit))
-            }
+            step[child_of[f]] = tuple(map(child_of.__getitem__, row[:i] + row[i + 1 :]))
         child = Matroid(self.m - 1, step, provenance="deletion")
         elements = tuple(e for e in range(self.m) if e != i)
         return self._keep_minor(i, child, MinorMap(elements, child.rank_total < self.rank_total))
@@ -383,11 +395,11 @@ class Matroid:
             raise RankCollapse(f"truncating rank {self.rank_total} by {s}")
         if s == 0:
             return self
-        top = self.rank_total - s
+        top, full = self.rank_total - s, self.full_mask
         step = {f: self._cover_step[f] for level in self.flats_by_rank[: top - 1] for f in level}
         for f in self.flats_by_rank[top - 1]:  # the new hyperplanes
-            step[f] = dict.fromkeys(bits_of(self.full_mask & ~f), self.full_mask)
-        step[self.full_mask] = {}
+            step[f] = tuple(f if (f >> x) & 1 else full for x in range(self.m))
+        step[full] = (full,) * self.m
         return Matroid(self.m, step, provenance="truncation")
 
 
@@ -427,21 +439,24 @@ def _from_closure(m: int, cover, provenance: str) -> Matroid:
 
     Walks up from the empty set one level at a time. The covers of a flat
     partition its complement, so cover is called once per cover: the
-    elements a cover gains need no call of their own.
+    elements a cover gains need no call of their own. Each flat is kept as
+    the int object first found, and every row refers to that one.
     """
     full = (1 << m) - 1
     step = {}
-    level = {0}
+    level = (0,)
     while level:
-        above = set()
+        above = {}  # each flat of the next level, mapped to itself
         for f in level:
-            row = step[f] = {}
+            row = [f] * m
             rest = full & ~f
             while rest:
                 g = cover(f, (rest & -rest).bit_length() - 1)
-                row.update(dict.fromkeys(bits_of(g & ~f), g))
+                g = above.setdefault(g, g)
+                for x in bits_of(g & ~f):
+                    row[x] = g
                 rest &= ~g
-                above.add(g)
+            step[f] = tuple(row)
         level = above
     return Matroid(m, step, provenance)
 
@@ -494,11 +509,9 @@ def build_from_bases(ground_set_size: int, bases) -> Matroid:
     basis_list = []
     seen = set()
     for b in bases:
-        mask = mask_of(b)
         if len(set(b)) != len(tuple(b)):
             raise SizeViolation(f"basis {sorted(b)} repeats an element")
-        if mask < 0 or mask >= (1 << ground_set_size):
-            raise SizeViolation(f"basis {sorted(b)} leaves the ground set")
+        mask = _ground_mask(b, ground_set_size, "basis")
         if mask not in seen:
             seen.add(mask)
             basis_list.append(mask)
@@ -538,9 +551,7 @@ def build_sparse_paving(rank: int, ground_set_size: int, circuit_hyperplanes) ->
         raise RankOutOfRange(f"rank {rank} invalid for {ground_set_size} elements")
     chs = []
     for ch in circuit_hyperplanes:
-        mask = mask_of(ch)
-        if mask >= (1 << ground_set_size):
-            raise SizeViolation(f"circuit-hyperplane {sorted(ch)} leaves the ground set")
+        mask = _ground_mask(ch, ground_set_size, "circuit-hyperplane")
         if mask.bit_count() != rank or len(set(ch)) != len(tuple(ch)):
             raise SizeViolation(
                 f"circuit-hyperplane {sorted(ch)} does not have size {rank}"
@@ -629,9 +640,7 @@ def build_from_flats(ground_set_size: int, flats_by_rank) -> Matroid:
     for level in flats_by_rank:
         masks = []
         for flat in level:
-            mask = mask_of(flat)
-            if mask >= (1 << ground_set_size):
-                raise SizeViolation(f"flat {sorted(flat)} leaves the ground set")
+            mask = _ground_mask(flat, ground_set_size, "flat")
             if mask in seen:
                 raise SizeViolation(f"flat {sorted(flat)} listed twice")
             seen.add(mask)
@@ -649,25 +658,26 @@ def build_from_flats(ground_set_size: int, flats_by_rank) -> Matroid:
                 )
     if len(levels) - 1 > ground_set_size:
         raise RankOutOfRange(f"rank {len(levels) - 1} invalid for {ground_set_size} elements")
-    step = {full: {}}
+    step = {full: (full,) * ground_set_size}
     for lower, upper in zip(levels, levels[1:]):
         for f in lower:
-            row = step[f] = {}
+            row = [f if (f >> x) & 1 else None for x in range(ground_set_size)]
             for g in upper:
                 if f & g == f:
                     for x in bits_of(g & ~f):
-                        if x in row:
+                        if row[x] is not None:
                             raise NotAFlat(
                                 f"element {x} lies in two covers of flat {set_of(f)}"
                             )
                         row[x] = g
-            if len(row) != ground_set_size - f.bit_count():
-                missing = [x for x in bits_of(full & ~f) if x not in row]
+            if None in row:
+                missing = [x for x, g in enumerate(row) if g is None]
                 raise NotAFlat(
                     f"covers of flat {set_of(f)} do not partition the complement"
                     f" (no cover gains {missing[:3]})"
                 )
-        stray = set(upper).difference(*(step[f].values() for f in lower))
+            step[f] = tuple(row)
+        stray = set(upper).difference(*(step[f] for f in lower))
         if stray:
             raise NotAFlat(f"flat {set_of(min(stray))} covers no flat of the level below")
     return Matroid(ground_set_size, step, provenance="flats")

@@ -19,6 +19,7 @@ from mixeuler import (
 from mixeuler.errors import (
     BasisExchangeViolation,
     EmptyInput,
+    InternalError,
     LoopDetected,
     NonPrimeQ,
     NotAFlat,
@@ -138,6 +139,21 @@ def test_from_bases_rejects_loops_and_bad_sizes():
         build_from_bases(3, [(0, 1), (0, 1, 2)])
     with pytest.raises(EmptyInput):
         build_from_bases(3, [])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: build_from_bases(3, [(0, 1), (-1, 2)]), id="bases"),
+        pytest.param(lambda: build_sparse_paving(3, 6, [(-1, 1, 2)]), id="sparse_paving"),
+        pytest.param(
+            lambda: build_from_flats(2, [[()], [(-1,), (1,)], [(0, 1)]]), id="flats"
+        ),
+    ],
+)
+def test_builders_reject_a_negative_element(build):
+    with pytest.raises(SizeViolation, match=r"\[-1\b.*\] leaves the ground set"):
+        build()
 
 
 def test_from_flats_roundtrip():
@@ -280,6 +296,87 @@ def test_minors_are_memoised_and_shared(name):
             assert child is interval[0, args[0]]
         elif method == "contraction":
             assert child is interval[args[0], m.full_mask]
+
+
+# -- the cover table's form -----------------------------------------------------
+#
+# Every producer writes one tuple per flat, indexed by element: row[x] is the
+# closure of f and x. The reference below finds it by a scan of the levels,
+# never by a closure walk.
+
+
+def assert_rows_by_scan(m):
+    """Every row is a tuple of length m whose entry x is the first flat in
+    level order that contains f and x, which is the smallest such flat."""
+    flats = [f for level in m.flats_by_rank for f in level]
+    assert sorted(m._cover_step) == sorted(flats)
+    for f, row in m._cover_step.items():
+        assert type(row) is tuple and len(row) == m.m, (m, f)
+        for x, g in enumerate(row):
+            want = f | 1 << x
+            assert g == next(h for h in flats if h & want == want), (m, f, x)
+
+
+def distinct_children(m, methods):
+    """The distinct children of every minor of m made by the given methods."""
+    children = {}
+    for method, args in minor_calls(m):
+        if method in methods:
+            child = getattr(m, method)(*args)[0]
+            children[id(child)] = child
+    return list(children.values())
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CATALOG))
+def test_cover_rows_match_a_scan_of_the_levels(name):
+    m = fresh(SMALL_CATALOG[name])
+    assert_rows_by_scan(m)
+    for child in distinct_children(m, ("minor_interval", "delete_element")):
+        assert_rows_by_scan(child)
+    for s in range(1, m.rank_total):
+        assert_rows_by_scan(m.truncate(s))
+
+
+ONE_INT_INPUTS = {
+    **SMALL_CATALOG,
+    "pg23": build_projective_geometry(2, 3),
+    "pg32": build_projective_geometry(3, 2),
+    "u4_10": build_uniform(4, 10),
+    "sp84": seeded_sparse_paving(8, 4, 20240901, 3),
+    "sp10": build_sparse_paving(4, 10, seeded_circuit_hyperplanes(10, 4, 20241018)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_INT_INPUTS))
+def test_minor_rows_share_one_int_per_flat(name):
+    # masks past 8 elements lie outside CPython's cache of small ints, so only
+    # there does a second int object of one flat show as a second id
+    m = fresh(ONE_INT_INPUTS[name])
+    for child in distinct_children(m, ("minor_interval", "delete_element")):
+        ids = {id(g) for row in child._cover_step.values() for g in row}
+        assert len(ids) == sum(map(len, child.flats_by_rank[1:])), child
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CATALOG))
+def test_truncation_shares_the_parent_rows(name):
+    m = SMALL_CATALOG[name]
+    for s in range(1, m.rank_total):
+        t = m.truncate(s)
+        for level in m.flats_by_rank[: t.rank_total - 1]:
+            for f in level:
+                assert t._cover_step[f] is m._cover_step[f], (s, f)
+
+
+def test_rows_that_are_not_element_tuples_are_rejected():
+    m = build_projective_geometry(2, 2)
+    as_dicts = {
+        f: {x: g for x, g in enumerate(row) if g != f} for f, row in m._cover_step.items()
+    }
+    with pytest.raises(InternalError, match="not a tuple indexed by element"):
+        Matroid(m.m, as_dicts)
+    short = {f: row[:-1] for f, row in m._cover_step.items()}
+    with pytest.raises(InternalError, match="not a tuple indexed by element"):
+        Matroid(m.m, short)
 
 
 def bad_minor_calls():
