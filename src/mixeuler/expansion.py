@@ -48,7 +48,9 @@ Engines:
   of its own (_entering), which tree enumeration shares.
 
 pvol runs the same DP on the same view, with each flat's weight summed over
-every class index in closed form (_gap_weight_total).
+every class index in closed form (_gap_weight_total). The flat view and
+_entering walk the same intervals again and again, so they read them through
+the matroid's interval memo (matroid.flats_between).
 """
 
 from __future__ import annotations
@@ -260,9 +262,10 @@ def _entering(matroid, table, lo, hi, vs, i, convention, scale):
         val = vs[i]
         weights = matroid._gap_weights.get((convention, lo, hi, val))
         if weights is None:
+            between = flats_between(matroid._between_cache, matroid._lattice_index(), lo, hi)
             weights = matroid._gap_weights[convention, lo, hi, val] = [
                 (g, wt)
-                for g in matroid.flats_strictly_between(lo, hi)
+                for g in between
                 if (wt := insertion_weight(lo, hi, g, val, convention, scale))
             ]
         rest = vs[i + 1 :]

@@ -16,11 +16,12 @@ build_from_flats, the one constructor of outside lattices, scans adjacent
 levels for the covers and checks them.
 
 Interval queries (flats_strictly_between) read a lazy per-matroid index:
-the flats numbered in level order and, for each element, the bitset of the
-flats that contain it. An interval is the AND of the bitsets of lo's
-elements, less those of the elements outside hi, within the rank window:
-one big-integer operation per element and one step per flat returned,
-instead of a subset test of every flat in the window.
+the flats in level order and, per element, the bitsets of the flats that
+contain it and of those that lack it. An interval is the AND, within the
+rank window, of the first bitsets of lo's elements and the second of the
+elements outside hi: one big-integer operation per element and one step
+per flat returned, instead of a subset test of every flat in the window.
+Only the engines that walk one interval again memoise it (flats_between).
 
 Element order is the natural integer order and minors relabel surviving
 elements in that induced order; several downstream weight conventions
@@ -136,9 +137,10 @@ class Matroid:
     and checks only the shape of the rows it reads: use the module-level
     build_* constructors and the minor methods, which supply the table.
 
-    A matroid never changes, so it memoises its interval queries, degree
-    engines and minors; a minor asked again, after its arguments are checked,
-    is the same object, and minors with the same lattice share one child.
+    A matroid never changes, so it memoises its degree engines, the interval
+    reads they repeat, and its minors; a minor asked again, after its
+    arguments are checked, is the same object, and minors with the same
+    lattice share one child.
     """
 
     def __init__(self, m: int, step: dict, provenance: str = ""):
@@ -160,6 +162,8 @@ class Matroid:
         self.provenance = provenance
         self._rank_of_flat = {f: k for k, level in enumerate(levels) for f in level}
         self._cover_step = step
+        # (lo, hi) -> the flats strictly between, filled through flats_between
+        # by the engines that walk intervals again, never by a public query
         self._between_cache = {}
         self._interval_index = None
         # convention -> (view, memo) of the auto degree engine (expansion.py),
@@ -226,12 +230,13 @@ class Matroid:
             yield from self.flats_by_rank[k]
 
     def _lattice_index(self):
-        """The flats in level order with one bitset per element, built at first use.
+        """The flats in level order with two bitsets per element, built at first use.
 
-        (flats, has, first, rank, full): bit i of has[x] is set when flats[i]
-        contains element x, the flats of rank k are flats[first[k]:first[k + 1]],
-        rank maps a flat to its rank and full is the ground set. Plain data,
-        so that flats_between can be bound to it without the matroid.
+        (flats, has, lacks, first, rank, full): bit i of has[x] is set when
+        flats[i] contains element x and bit i of lacks[x] when it does not,
+        the flats of rank k are flats[first[k]:first[k + 1]], rank maps a flat
+        to its rank and full is the ground set. Plain data, so that
+        flats_between can be bound to it without the matroid.
         """
         if self._interval_index is None:
             flats = tuple(f for level in self.flats_by_rank for f in level)
@@ -240,19 +245,25 @@ class Matroid:
             width = f"0{self.m}b"
             columns = zip(*(format(f, width) for f in reversed(flats)))
             has = tuple(int("".join(c), 2) for c in columns)[::-1]
+            every = (1 << len(flats)) - 1
+            # kept positive: a query ANDs it in without negating every flat's bit
+            lacks = tuple(every ^ h for h in has)
             first = tuple(accumulate(map(len, self.flats_by_rank), initial=0))
-            self._interval_index = (flats, has, first, self._rank_of_flat, self.full_mask)
+            self._interval_index = (flats, has, lacks, first, self._rank_of_flat, self.full_mask)
         return self._interval_index
 
     def flats_strictly_between(self, lo: int, hi: int):
-        """All flats G with lo < G < hi in level order, as a cached tuple.
+        """All flats G with lo < G < hi in level order, as a tuple.
 
-        Read off the lattice index: the flats of the ranks strictly between
-        that contain every element of lo and no element outside hi.
+        Taken from the engines' memo when they walked the interval already,
+        else read off the lattice index and kept nowhere: the flats of the
+        ranks strictly between that contain every element of lo and no
+        element outside hi. NotAFlat when lo or hi is not a flat.
         """
         got = self._between_cache.get((lo, hi))
-        if got is None:  # a hit needs no index
-            got = flats_between(self._between_cache, self._lattice_index(), lo, hi)
+        if got is None:  # the memo holds flats only, so a hit needs no check
+            self.rank_of_flat(lo), self.rank_of_flat(hi)  # NotAFlat unless both are flats
+            got = _read_between(self._lattice_index(), lo, hi)
         return got
 
     def corank_nullity_counts(self):
@@ -406,29 +417,37 @@ class Matroid:
 def flats_between(cache: dict, index: tuple, lo: int, hi: int):
     """The flats strictly between flats lo and hi, looked up in or added to cache.
 
-    Matroid.flats_strictly_between with its matroid's cache and lattice index
-    passed in, so that a partial of it holds no reference to the matroid. The
-    candidates are the flats of the ranks strictly between; each element of
-    lo keeps those that contain it, each element outside hi drops those that
-    contain it, and the survivors are read off in level order.
+    The memoised read of the engines that walk one interval many times, with
+    the matroid's cache and lattice index passed in, so that a partial of it
+    holds no reference to the matroid. lo and hi must be flats, unchecked.
     """
     got = cache.get((lo, hi))
     if got is None:
-        flats, has, first, rank, full = index
-        begin, end = first[rank[lo] + 1], first[rank[hi]]
-        inside = (1 << end) - (1 << begin) if begin < end else 0
-        for x in bits_of(lo):
-            inside &= has[x]
-        for x in bits_of(full & ~hi):
-            inside &= ~has[x]
-        bits = bin(inside)[:1:-1]  # bits[i] is bit i of inside
-        got = []
-        i = bits.find("1")
-        while i >= 0:
-            got.append(flats[i])
-            i = bits.find("1", i + 1)
-        got = cache[lo, hi] = tuple(got)
+        got = cache[lo, hi] = _read_between(index, lo, hi)
     return got
+
+
+def _read_between(index: tuple, lo: int, hi: int):
+    """The flats strictly between flats lo and hi, read off the lattice index.
+
+    The candidates are the flats of the ranks strictly between; each element
+    of lo keeps those that contain it, each element outside hi keeps those
+    that lack it, and the survivors are read off in level order.
+    """
+    flats, has, lacks, first, rank, full = index
+    begin, end = first[rank[lo] + 1], first[rank[hi]]
+    inside = (1 << end) - (1 << begin) if begin < end else 0
+    for x in bits_of(lo):
+        inside &= has[x]
+    for x in bits_of(full & ~hi):
+        inside &= lacks[x]
+    bits = bin(inside >> begin)[:1:-1]  # bits[i] is bit begin + i of inside
+    got = []
+    i = bits.find("1")
+    while i >= 0:
+        got.append(flats[begin + i])
+        i = bits.find("1", i + 1)
+    return tuple(got)
 
 
 # -- construction by one upward walk -----------------------------------------
@@ -451,9 +470,14 @@ def _from_closure(m: int, cover, provenance: str) -> Matroid:
             row = [f] * m
             rest = full & ~f
             while rest:
-                g = cover(f, (rest & -rest).bit_length() - 1)
+                x = (rest & -rest).bit_length() - 1
+                g = cover(f, x)
                 g = above.setdefault(g, g)
-                for x in bits_of(g & ~f):
+                gained = g & ~f
+                if gained & (gained - 1):
+                    for y in bits_of(gained):
+                        row[y] = g
+                else:  # g gains x alone
                     row[x] = g
                 rest &= ~g
             step[f] = tuple(row)

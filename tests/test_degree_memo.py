@@ -22,6 +22,7 @@ from mixeuler.matroid import Matroid
 from mixeuler.recursion import classify_support, deletion_contraction_degree
 from mixeuler.trees import enumerate_trees
 
+from reference import flats_between_scan
 from seeded import seeded_sparse_paving
 from test_matroid import fresh
 from test_recursion import relation_calls
@@ -110,6 +111,40 @@ def test_oracle_tables_die_without_the_cycle_collector(make):
         fill(m)
         assert m._gap_weights
         assert set(m._delcon) == set(CONVENTIONS) and all(m._delcon.values())
+        alive = weakref.ref(m)
+        del m
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda m: mixed_eulerian_degree(m, (0, 1, 0, 1, 0), "oi"),
+        lambda m: expand_gamma_product(m, (2, 4), "mult"),
+    ],
+    ids=["auto degree", "expand_gamma_product"],
+)
+def test_interval_memo_is_filled_by_the_engines_alone(engine):
+    # sparse paving but no design, so the auto engine walks the flat view
+    circuit_hyperplanes = [(0, 1, 2), (3, 4, 5)]
+    engine(build_sparse_paving(3, 6, circuit_hyperplanes))  # warm-up: imports
+    gc.collect()
+    gc.disable()
+    try:
+        m = build_sparse_paving(3, 6, circuit_hyperplanes)
+        for f in m.proper_flats():
+            m.flats_strictly_between(0, f), m.flats_strictly_between(f, m.full_mask)
+        assert m._between_cache == {}
+        engine(m)
+        memo = dict(m._between_cache)
+        assert memo
+        for (lo, hi), got in memo.items():  # a public query reads the memo, adds nothing
+            assert got == flats_between_scan(m, lo, hi)
+            assert m.flats_strictly_between(lo, hi) is got
+        assert m._between_cache == memo
         alive = weakref.ref(m)
         del m
         assert alive() is None

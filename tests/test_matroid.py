@@ -470,24 +470,56 @@ def test_flats_strictly_between():
     assert len(between_pt) == 3  # lines through the point
 
 
+def assert_intervals_by_scan(m, intervals):
+    """Each public interval query equals the scan, and none fills the memo
+    that only the degree engines keep."""
+    for lo, hi in intervals:
+        assert m.flats_strictly_between(lo, hi) == flats_between_scan(m, lo, hi), (m, lo, hi)
+    assert m._between_cache == {}
+
+
+def every_pair_of_flats(m):
+    flats = [f for level in m.flats_by_rank for f in level]
+    return list(product(flats, flats))
+
+
 @pytest.mark.parametrize(
     "m",
     [pytest.param(m, id=name) for name, m in [*named_catalog().items(), *_seeded_sparse_paving()]],
 )
 def test_interval_index_matches_the_scan(m):
-    # every pair of flats, comparable or not, on a matroid with an empty cache
-    m = Matroid(m.m, m._cover_step, m.provenance)
-    flats = [f for level in m.flats_by_rank for f in level]
-    for lo in flats:
-        for hi in flats:
-            assert m.flats_strictly_between(lo, hi) == flats_between_scan(m, lo, hi), (lo, hi)
+    # every pair of flats, comparable or not, on a matroid with an empty cache;
+    # each minor and truncation builds an index of its own
+    m = fresh(m)
+    assert_intervals_by_scan(m, every_pair_of_flats(m))
+    if m.m <= 8:  # the size of SMALL_CATALOG
+        children = distinct_children(m, ("minor_interval", "delete_element"))
+        for child in children + [m.truncate(s) for s in range(1, m.rank_total)]:
+            assert_intervals_by_scan(child, every_pair_of_flats(child))
+        assert m._between_cache == {}
+
+
+def proper_flat_intervals(m):
+    return [(lo, hi) for f in m.proper_flats() for lo, hi in ((0, f), (f, m.full_mask))]
 
 
 def test_interval_index_matches_the_scan_on_u7_14():
     m = build_uniform(7, 14)
-    for f in m.proper_flats():
-        for lo, hi in ((0, f), (f, m.full_mask)):
-            assert m.flats_strictly_between(lo, hi) == flats_between_scan(m, lo, hi), (lo, hi)
+    assert_intervals_by_scan(m, proper_flat_intervals(m))
+
+
+def test_interval_index_matches_the_scan_on_pg27():
+    m = build_projective_geometry(2, 7)
+    assert_intervals_by_scan(m, proper_flat_intervals(m))
+
+
+def test_interval_query_rejects_a_set_that_is_not_a_flat():
+    m = build_uniform(3, 5)
+    with pytest.raises(NotAFlat, match=r"\(0, 1, 2\) is not a flat"):
+        m.flats_strictly_between(0b111, m.full_mask)
+    with pytest.raises(NotAFlat, match=r"\(0, 1, 2\) is not a flat"):
+        m.flats_strictly_between(0, 0b111)
+    assert m._between_cache == {}
 
 
 # -- the lattice against brute force over a rank function ----------------------
