@@ -31,13 +31,18 @@ Engines:
   then goes to the restriction [lo, G], one above it to the contraction
   [G, hi], and one equal to |G| kills the term. So
   deg(lo, hi, vs) = sum_G w(lo, hi, G, v_1) deg(lo, G, vs_<) deg(G, hi, vs_>).
-  It walks the flats, except on perfect matroid designs (projective
-  geometries, uniform and Boolean matroids), where all flats of one rank
-  have one size: there it walks ranks, weighting each rank by the total
-  weight of its flats in the interval, in closed form. The matroid owns the
-  memo on (lo, hi, vs), one per convention, next to the lattice view the DP
-  walks: every auto query on one matroid reuses the sub-interval degrees of
-  the queries before it, and both die with the matroid.
+  A full flag puts exactly a of the later classes v_2, v_3, ... below a G
+  of rank rank(lo) + a + 1, so G can enter only when |G| lies strictly
+  between the a-th and the (a+1)-th of them. The DP keeps the flats of
+  each interval by rank, sorted by size (_levels), and bisects that window
+  out of each rank, never visiting the flats outside it. On perfect
+  matroid designs (projective geometries, uniform and Boolean matroids),
+  where all flats of one rank have one size, it walks ranks instead,
+  weighting each rank by the total weight of its flats in the interval,
+  in closed form. The matroid owns the memo on (lo, hi, vs), one per
+  convention, next to the lattice view the DP walks: every auto query on
+  one matroid reuses the sub-interval degrees of the queries before it,
+  and both die with the matroid.
 * "flag", the term-by-term flag expansion above. It is the reference oracle
   the DP is tested against and the backend of expand_gamma_product. It drops
   a partial flag as soon as it must die: a flat whose size is a class still
@@ -48,13 +53,15 @@ Engines:
   of its own (_entering), which tree enumeration shares.
 
 pvol runs the same DP on the same view, with each flat's weight summed over
-every class index in closed form (_gap_weight_total). The flat view and
+every class index in closed form (_gap_weight_total); every flat of an
+interval takes a class there, so it walks them all. The flat view and
 _entering walk the same intervals again and again, so they read them through
 the matroid's interval memo (matroid.flats_between).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import partial
 from itertools import combinations
@@ -150,7 +157,7 @@ def check_composition(c, parts: int, total: int) -> tuple:
     cs = tuple(c)
     if len(cs) != parts:
         raise CompositionMismatch(f"composition has {len(cs)} parts, need {parts}")
-    if any(x < 0 for x in cs):
+    if cs and min(cs) < 0:
         raise CompositionMismatch("composition entries must be nonnegative")
     if sum(cs) != total:
         raise CompositionMismatch(f"composition sums to {sum(cs)}, need {total}")
@@ -161,7 +168,8 @@ def composition_to_indices(c) -> tuple:
     """(c_1..c_n) to the sorted index vector with k repeated c_k times."""
     out = []
     for k, ck in enumerate(c, start=1):
-        out.extend([k] * ck)
+        if ck:
+            out.extend([k] * ck)
     return tuple(out)
 
 
@@ -329,20 +337,37 @@ def expand_gamma_product(matroid: Matroid, v, convention: str = "oi") -> Weighte
 
 # A lattice as the DP walks it. between(lo, hi) lists the nodes strictly
 # inside an interval, each standing for one flat or for all flats of one
-# rank; weight(lo, hi, g, val) is the scaled insertion weight of node g,
-# summed over the flats it stands for, and total(lo, hi, g) that weight
-# summed over every val. A view is kept on its matroid, so it holds no
-# reference to the matroid: the matroid dies without the cycle collector.
-_View = namedtuple("_View", "bottom top rank size between weight total")
+# rank, and levels(lo, hi) holds them as one (nodes, sizes) pair per rank
+# from the lowest, in order of size; weight(lo, hi, g, val) is the insertion
+# weight of node g times scale, summed over the flats it stands for, and
+# total(lo, hi, g) that weight summed over every val. A view is kept on its
+# matroid, so it holds no reference to the matroid: the matroid dies
+# without the cycle collector.
+_View = namedtuple("_View", "bottom top rank between levels weight total scale")
+
+
+def _levels(memo, between, rank, size, lo, hi):
+    """The nodes strictly inside [lo, hi] by rank, each rank sorted by size,
+    built once per interval and kept in memo."""
+    got = memo.get((lo, hi))
+    if got is None:
+        base = rank(lo) + 1
+        by_rank = [[] for _ in range(rank(hi) - base)]
+        for g in between(lo, hi):
+            by_rank[rank(g) - base].append(g)
+        by_rank = [sorted(nodes, key=size) for nodes in by_rank]
+        got = memo[lo, hi] = tuple((tuple(nodes), tuple(map(size, nodes))) for nodes in by_rank)
+    return got
 
 
 def _flat_view(matroid, convention, scale):
     """Nodes are the flats themselves, as bitmasks."""
-    rank = matroid._rank_of_flat
+    rank = matroid._rank_of_flat.__getitem__
     between = partial(flats_between, matroid._between_cache, matroid._lattice_index())
+    levels = partial(_levels, {}, between, rank, int.bit_count)
     weight = partial(insertion_weight, convention=convention, scale=scale)
     total = partial(_gap_weight_total, convention=convention, scale=scale)
-    return _View(0, matroid.full_mask, rank.__getitem__, int.bit_count, between, weight, total)
+    return _View(0, matroid.full_mask, rank, between, levels, weight, total, scale)
 
 
 def _rank_view(n, convention, scale):
@@ -386,14 +411,19 @@ def _rank_view(n, convention, scale):
         def total(a, b, k):
             return count[a, k, b] * one_total(mask[a], mask[b], mask[k])
 
-    return _View(0, len(n) - 1, int, n.__getitem__, lambda a, b: range(a + 1, b), weight, total)
+    def between(a, b):
+        return range(a + 1, b)
+
+    levels = partial(_levels, {}, between, int, n.__getitem__)
+    return _View(0, len(n) - 1, int, between, levels, weight, total, scale)
 
 
 def _pick_view(matroid, convention, engine):
     """The matroid's (view, memo) of the DP for an engine name, None for flag.
 
     Built at the first auto query under convention and kept on the matroid,
-    so the view binds insertion_weight and _flat_view as they were then.
+    so the view binds insertion_weight and _flat_view as they were then; the
+    views of both conventions share one levels memo.
     """
     if engine not in _ENGINES:
         raise VOutOfRange(f"unknown engine {engine!r}")
@@ -405,6 +435,8 @@ def _pick_view(matroid, convention, engine):
         view = _rank_view(matroid.level_sizes(), convention, scale) or _flat_view(
             matroid, convention, scale
         )
+        for other, _ in matroid._degree_memos.values():  # levels depend on the lattice alone
+            view = view._replace(levels=other.levels)
         state = matroid._degree_memos[convention] = (view, {})
     return state
 
@@ -412,28 +444,32 @@ def _pick_view(matroid, convention, engine):
 def _deg(view, memo, lo, hi, vs):
     """scale^len(vs) times the degree of the sorted product vs on [lo, hi].
 
-    memo maps (lo, hi, vs) to it and must belong to view. Module-level, as
-    is _vol: a recursive closure would leave a cycle behind every query.
+    memo maps (lo, hi, vs) to it and must belong to view; the loop reads its
+    hits inline, without a call. Module-level, as is _vol: a recursive
+    closure would leave a cycle behind every query.
     """
     key = (lo, hi, vs)
     got = memo.get(key)
     if got is None:
-        rank, size_of, weight = view.rank, view.size, view.weight
+        weight = view.weight
         val, rest = vs[0], vs[1:]
         n_rest = len(rest)
-        base = rank(lo) + 1
         got = 0
-        for g in view.between(lo, hi):
-            # a full flag puts exactly `a` flats, so `a` classes, below g
-            size = size_of(g)
-            a = rank(g) - base
-            if (a and rest[a - 1] >= size) or (a < n_rest and rest[a] <= size):
-                continue
-            wt = weight(lo, hi, g, val)
-            if wt:
-                left = _deg(view, memo, lo, g, rest[:a]) if a else 1
-                if left:
-                    got += wt * left * (_deg(view, memo, g, hi, rest[a:]) if a < n_rest else 1)
+        for a, (nodes, sizes) in enumerate(view.levels(lo, hi)):
+            # a full flag puts exactly a flats, so a classes, below a node of
+            # rank offset a: its size must lie strictly between rest[a - 1] and rest[a]
+            start = bisect_right(sizes, rest[a - 1]) if a else 0
+            stop = bisect_left(sizes, rest[a]) if a < n_rest else len(sizes)
+            below, above = rest[:a], rest[a:]
+            for g in nodes[start:stop]:
+                wt = weight(lo, hi, g, val)
+                if wt and below:
+                    left = memo.get((lo, g, below))
+                    wt *= _deg(view, memo, lo, g, below) if left is None else left
+                if wt and above:
+                    right = memo.get((g, hi, above))
+                    wt *= _deg(view, memo, g, hi, above) if right is None else right
+                got += wt
         memo[key] = got
     return got
 
@@ -474,11 +510,12 @@ def gamma_product_degree(
         return 0
     if vs and (vs[0] < 1 or vs[-1] > matroid.n):
         return 0
-    scale = weight_scale(matroid.m, convention)
     if state is None:
+        scale = weight_scale(matroid.m, convention)
         total = sum(_expand(matroid, vs, convention, scale).values())
     else:
         view, memo = state
+        scale = view.scale
         total = _deg(view, memo, view.bottom, view.top, vs) if vs else 1
     return _unscale(total, scale ** len(vs))
 
@@ -506,8 +543,7 @@ def pvol(matroid: Matroid, convention: str = "oi", engine: str = "auto") -> int:
     state = _pick_view(matroid, convention, engine)
     if state is not None:
         view = state[0]
-        total = _vol(view, {}, view.bottom, view.top)
-        return _unscale(total, weight_scale(matroid.m, convention) ** r)
+        return _unscale(_vol(view, {}, view.bottom, view.top), view.scale ** r)
     return sum(
         factorial(r) // prod(map(factorial, c))
         * mixed_eulerian_degree(matroid, c, convention, "flag")

@@ -58,6 +58,7 @@ def test_one_memo_per_convention():
     (oi_view, oi_memo), (mult_view, mult_memo) = (m._degree_memos[k] for k in CONVENTIONS)
     assert oi_view is not mult_view and oi_memo is not mult_memo
     assert oi_memo and mult_memo
+    assert oi_view.levels is mult_view.levels  # they depend on the lattice alone
 
 
 @pytest.mark.parametrize(
@@ -78,7 +79,9 @@ def test_memo_dies_without_the_cycle_collector(make):
             for c in compositions(m.r, m.n):
                 mixed_eulerian_degree(m, c, conv)
             pvol(m, conv)
-            assert m._degree_memos[conv][1]
+            view, memo = m._degree_memos[conv]
+            assert memo
+            assert view.levels.args[0]  # the levels memo, bound into the view
         m.flats_strictly_between(0, m.full_mask)  # the rank view never builds the index
         assert m._interval_index is not None
         alive = weakref.ref(m)

@@ -1,5 +1,6 @@
 """The interval DP against the flag oracle, localization and the weight formulas."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
@@ -23,6 +24,7 @@ from mixeuler.catalog import named_catalog
 from mixeuler.errors import InternalError, VOutOfRange
 from mixeuler.expansion import (
     CONVENTIONS,
+    composition_to_indices,
     compositions,
     insertion_weight,
     mixed_eulerian_degree,
@@ -30,8 +32,9 @@ from mixeuler.expansion import (
     weight_scale,
 )
 
-from reference import mult_weight, oi_weight
-from seeded import SPARSE_PAVING_SEEDS, random_sparse_paving
+from reference import flats_between_scan, mult_weight, oi_weight
+from seeded import SPARSE_PAVING_SEEDS, random_sparse_paving, seeded_sparse_paving
+from test_matroid import SMALL_CATALOG, fresh
 
 
 def assert_dp_matches_flag(m, engine="auto"):
@@ -190,13 +193,14 @@ def test_gap_weight_total_is_the_sum_over_class_indices():
     ids=repr,
 )
 def test_rank_view_total_is_the_sum_over_class_indices(m):
+    sizes = m.level_sizes()
     for conv in CONVENTIONS:
-        view = expansion._rank_view(m.level_sizes(), conv, weight_scale(m.m, conv))
+        view = expansion._rank_view(sizes, conv, weight_scale(m.m, conv))
         nodes = range(m.rank_total + 1)
         for lo in nodes:
             for hi in nodes:
                 for g in view.between(lo, hi):
-                    vals = range(view.size(lo) + 1, view.size(hi))
+                    vals = range(sizes[lo] + 1, sizes[hi])
                     want = sum(view.weight(lo, hi, g, val) for val in vals)
                     assert view.total(lo, hi, g) == want, (conv, lo, hi, g)
 
@@ -243,7 +247,9 @@ def test_rank_view_is_picked(m, rank_view_only):
         mixed_eulerian_degree(m, next(compositions(m.r, m.n)), conv)
         view = m._degree_memos[conv][0]
         assert (view.bottom, view.top) == (0, m.rank_total)
-        assert view.size(view.top) == m.m
+        sizes = m.level_sizes()
+        assert sizes[view.top] == m.m
+        assert view.levels(view.bottom, view.top) == tuple(((k,), (sizes[k],)) for k in range(1, view.top))
 
 
 def test_doubled_points_are_not_simple():
@@ -316,3 +322,113 @@ def test_rank_view_weights_sum_the_flat_weights(m):
                         assert view.weight(a, b, k, val) == want, (conv, lo, hi, k, val)
                     want = sum(expansion._gap_weight_total(lo, hi, g, conv, scale) for g in level)
                     assert view.total(a, b, k) == want, (conv, lo, hi, k)
+
+
+# -- the levels the DP walks and the windows it cuts from them ---------------------
+
+
+def level_cases():
+    named = sorted(SMALL_CATALOG.items())
+    named += [(f"sparse paving on {size}", seeded_sparse_paving(size, 4, 20241101, 3)) for size in (9, 10)]
+    return [pytest.param(m, id=name) for name, m in named]
+
+
+@pytest.mark.parametrize("m", level_cases())
+def test_levels_match_the_scan(m):
+    """On every interval, the flat view's levels hold the flats strictly
+    inside, one rank per level from the lowest, each sorted by size; the
+    rank view's hold one node per rank inside, with its flats' size."""
+    m = fresh(m)
+    rank = m.rank_of_flat
+    sizes = m.level_sizes()
+    flat_view = expansion._flat_view(m, "oi", 1)
+    rank_view = expansion._rank_view(sizes, "oi", 1)  # None unless one size per rank
+    flats = [f for level in m.flats_by_rank for f in level]
+    intervals = 0
+    for lo in flats:
+        for hi in flats:
+            if lo & hi != lo or lo == hi:
+                continue
+            want = flats_between_scan(m, lo, hi)
+            inner = range(rank(lo) + 1, rank(hi))
+            levels = flat_view.levels(lo, hi)
+            assert len(levels) == len(inner)
+            assert sorted(g for nodes, _ in levels for g in nodes) == sorted(want)
+            for k, (nodes, node_sizes) in zip(inner, levels):
+                assert all(rank(g) == k for g in nodes)
+                assert node_sizes == tuple(g.bit_count() for g in nodes)
+                assert list(node_sizes) == sorted(node_sizes)
+            if rank_view is not None:
+                levels = rank_view.levels(rank(lo), rank(hi))
+                assert levels == tuple(((k,), (sizes[k],)) for k in inner)
+                assert {k for (nodes, _) in levels for k in nodes} == {rank(g) for g in want}
+                assert all(g.bit_count() == sizes[rank(g)] for g in want)
+            intervals += 1
+    assert intervals >= len(flats) - 1  # at least (0, f) or (f, full) for each f
+
+
+def windowed(m, memo):
+    """(lo, hi, vs, g) for every flat g inside each interval the DP computed
+    whose size lies strictly between the classes around its rank, by scan."""
+    rank = m.rank_of_flat
+    want = Counter()
+    for lo, hi, vs in memo:
+        rest = vs[1:]
+        for g in flats_between_scan(m, lo, hi):
+            a, size = rank(g) - rank(lo) - 1, g.bit_count()
+            if (a == 0 or rest[a - 1] < size) and (a == len(rest) or size < rest[a]):
+                want[lo, hi, vs, g] += 1
+    return want
+
+
+@pytest.mark.parametrize(
+    "m",
+    [build_sparse_paving(3, 6, [(0, 1, 2), (3, 4, 5)]), table_kind_sparse_paving(9)],
+    ids=["two 3-point lines on 6", "rank 4 on 9"],
+)
+def test_dp_asks_weights_only_inside_each_size_window(m, monkeypatch):
+    """Each interval the DP computes asks once for the weight of each flat
+    inside its windows and of no other. Degrees cannot show an off-by-one
+    at a window's edge: a flat whose size equals a neighbouring class gets
+    weight 0 in its sub-interval. So the weights asked are counted, each
+    with the product it was asked under (the innermost _deg call)."""
+    products = []
+    deg = expansion._deg
+
+    def traced_deg(view, memo, lo, hi, vs):
+        products.append(vs)
+        try:
+            return deg(view, memo, lo, hi, vs)
+        finally:
+            products.pop()
+
+    monkeypatch.setattr(expansion, "_deg", traced_deg)
+    full = m.full_mask
+    for conv in CONVENTIONS:
+        scale = weight_scale(m.m, conv)
+        view = expansion._flat_view(m, conv, scale)
+        asked = Counter()
+
+        def weight(lo, hi, g, val):
+            asked[lo, hi, products[-1], g] += 1
+            return view.weight(lo, hi, g, val)
+
+        counted = view._replace(weight=weight)
+        for c in compositions(m.r, m.n):
+            vs = composition_to_indices(c)
+            asked.clear()
+            memo = {}
+            got = traced_deg(counted, memo, 0, full, vs)
+            assert asked == windowed(m, memo), (conv, c)
+            assert got == sum(expansion._expand(m, vs, conv, scale).values()), (conv, c)
+            if m.m == 6 and vs in ((1, 1), (1, 2)):
+                # by hand: the 6 points have size 1 and the lines sizes 2 and 3.
+                # A point takes the first class below the second: none under
+                # (1, 1), all 6 under (1, 2). A line takes it above: the 11
+                # lines under (1, 1), the two 3-point lines under (1, 2).
+                top = sorted(g for lo, hi, _, g in asked if (lo, hi) == (0, full))
+                points, lines = m.flats_by_rank[1], m.flats_by_rank[2]
+                if vs == (1, 1):
+                    assert top == sorted(lines) and len(top) == 11
+                else:
+                    assert top == sorted(points + (0b111, 0b111000)) and len(top) == 8
