@@ -33,9 +33,10 @@ Engines:
   deg(lo, hi, vs) = sum_G w(lo, hi, G, v_1) deg(lo, G, vs_<) deg(G, hi, vs_>).
   A full flag puts exactly a of the later classes v_2, v_3, ... below a G
   of rank rank(lo) + a + 1, so G can enter only when |G| lies strictly
-  between the a-th and the (a+1)-th of them. The DP keeps the flats of
-  each interval by rank, sorted by size (_levels), and bisects that window
-  out of each rank, never visiting the flats outside it. On perfect
+  between the a-th and the (a+1)-th of them. The DP reads the flats of
+  each interval by rank, sorted by size, from the matroid's one interval
+  store (_levels), and bisects that window out of each rank (_window),
+  never visiting the flats outside it. On perfect
   matroid designs (projective geometries, uniform and Boolean matroids),
   where all flats of one rank have one size, it walks ranks instead,
   weighting each rank by the total weight of its flats in the interval,
@@ -47,16 +48,16 @@ Engines:
   the DP is tested against and the backend of expand_gamma_product. It drops
   a partial flag as soon as it must die: a flat whose size is a class still
   to insert (a hit), and, on a product of length r, where every surviving
-  term is a maximal flag, a flag whose gaps the classes left cannot fill
-  (_viable). The matroid keeps the nonzero insertion weights of each gap and
-  class for it, apart from the DP's memo; each call filters them in a table
-  of its own (_entering), which tree enumeration shares.
+  term is a maximal flag, a flat outside the DP's window of its rank, taken
+  over the classes left inside the gap. It reads the same interval store;
+  the matroid keeps the insertion weights of each gap and class for it,
+  apart from the DP's memo, and each call windows them in a table of its
+  own (_entering), which tree enumeration shares.
 
 pvol runs the same DP on the same view, with each flat's weight summed over
 every class index in closed form (_gap_weight_total); every flat of an
-interval takes a class there, so it walks them all. The flat view and
-_entering walk the same intervals again and again, so they read them through
-the matroid's interval memo (matroid.flats_between).
+interval takes a class there, so it walks them all, read off the lattice
+index and stored nowhere.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from itertools import combinations
 from math import comb, factorial, lcm, prod
 
 from .errors import CompositionMismatch, InternalError, VOutOfRange
-from .matroid import Matroid, bits_of, flats_between
+from .matroid import Matroid, _read_between, bits_of
 
 __all__ = [
     "CONVENTIONS",
@@ -231,57 +232,40 @@ def _find_gap(flag, val):
     return idx
 
 
-def _viable(rank, lo, g, hi, rest) -> bool:
-    """Whether a maximal flag can still grow once flat g enters the gap (lo, hi).
-
-    rest holds the classes still to insert and rank maps a flat to its rank.
-    Each of them lands in the one gap whose sizes straddle it, so (lo, g)
-    must receive exactly rank(g) - rank(lo) - 1 of them, (g, hi) exactly
-    rank(hi) - rank(g) - 1, and none may equal |g| (a hit, which kills the
-    term). The other gaps of the flag are as they were when they were made.
-    """
-    lo_size, g_size, hi_size = lo.bit_count(), g.bit_count(), hi.bit_count()
-    below = above = 0
-    for val in rest:
-        if lo_size < val < hi_size:
-            if val < g_size:
-                below += 1
-            elif val > g_size:
-                above += 1
-            else:
-                return False
-    return below == rank[g] - rank[lo] - 1 and above == rank[hi] - rank[g] - 1
-
-
 def _entering(matroid, table, lo, hi, vs, i, convention, scale):
     """(g, weight times scale) for every flat g that class vs[i] puts into
     the gap (lo, hi) with a nonzero weight and after which the flag can
     still finish, kept in the call's table on (lo, hi, i).
 
-    The weights come from the matroid's table (Matroid._gap_weights), on
-    (convention, lo, hi, vs[i]), which every call shares. Only the filter is
-    per call, and it reads the classes still to insert, vs[i + 1:]: a g whose
-    size is one of them dies there at any length (a hit), and on a product of
-    length r the g must pass _viable. Since no flag that reaches a gap carries
-    a hit, _find_gap always finds one.
+    The flats come from the matroid's interval store (_levels) and their
+    weights from its table (Matroid._gap_weights), on (convention, lo, hi,
+    vs[i]), which every call shares. Only the filter is per call, and it
+    reads the classes still to insert, vs[i + 1:]: a g whose size is one of
+    them dies there at any length (a hit). On a product of length r the
+    flag must become maximal, so the classes left inside the gap fill its
+    ranks as in the DP, and g must lie in its rank's window of them. Since
+    no flag that reaches a gap carries a hit, _find_gap always finds one.
     """
     gap = table.get((lo, hi, i))
     if gap is None:
-        val = vs[i]
+        val, rest = vs[i], vs[i + 1 :]
+        levels = _levels(matroid._levels, matroid._lattice_index(), lo, hi)
         weights = matroid._gap_weights.get((convention, lo, hi, val))
         if weights is None:
-            between = flats_between(matroid._between_cache, matroid._lattice_index(), lo, hi)
-            weights = matroid._gap_weights[convention, lo, hi, val] = [
-                (g, wt)
-                for g in between
-                if (wt := insertion_weight(lo, hi, g, val, convention, scale))
-            ]
-        rest = vs[i + 1 :]
+            weights = matroid._gap_weights[convention, lo, hi, val] = tuple(
+                tuple(insertion_weight(lo, hi, g, val, convention, scale) for g in flats)
+                for flats, _ in levels
+            )
+        gap = []
         if len(vs) == matroid.r:
-            rank = matroid._rank_of_flat
-            gap = [(g, wt) for g, wt in weights if _viable(rank, lo, g, hi, rest)]
+            lo_size, hi_size = lo.bit_count(), hi.bit_count()
+            inside = sorted(v for v in rest if lo_size < v < hi_size)
+            for a, ((flats, sizes), wts) in enumerate(zip(levels, weights)):
+                window = _window(sizes, inside, a)
+                gap += [(g, wt) for g, wt in zip(flats[window], wts[window]) if wt]
         else:
-            gap = [(g, wt) for g, wt in weights if g.bit_count() not in rest]
+            for (flats, sizes), wts in zip(levels, weights):
+                gap += [(g, wt) for g, s, wt in zip(flats, sizes, wts) if wt and s not in rest]
         table[lo, hi, i] = gap
     return gap
 
@@ -346,25 +330,37 @@ def expand_gamma_product(matroid: Matroid, v, convention: str = "oi") -> Weighte
 _View = namedtuple("_View", "bottom top rank between levels weight total scale")
 
 
-def _levels(memo, between, rank, size, lo, hi):
-    """The nodes strictly inside [lo, hi] by rank, each rank sorted by size,
-    built once per interval and kept in memo."""
-    got = memo.get((lo, hi))
+def _levels(store, index, lo, hi):
+    """The flats strictly inside [lo, hi], one (flats, sizes) pair per rank
+    from the lowest, each rank sorted by size: read off the lattice index
+    once per interval and kept in store, the matroid's Matroid._levels."""
+    got = store.get((lo, hi))
     if got is None:
-        base = rank(lo) + 1
-        by_rank = [[] for _ in range(rank(hi) - base)]
-        for g in between(lo, hi):
-            by_rank[rank(g) - base].append(g)
-        by_rank = [sorted(nodes, key=size) for nodes in by_rank]
-        got = memo[lo, hi] = tuple((tuple(nodes), tuple(map(size, nodes))) for nodes in by_rank)
+        rank = index[4]
+        base = rank[lo] + 1
+        by_rank = [[] for _ in range(rank[hi] - base)]
+        for g in _read_between(index, lo, hi):
+            by_rank[rank[g] - base].append(g)
+        by_rank = [tuple(sorted(flats, key=int.bit_count)) for flats in by_rank]
+        got = store[lo, hi] = tuple((flats, tuple(map(int.bit_count, flats))) for flats in by_rank)
     return got
 
 
+def _window(sizes, rest, a):
+    """The slice of the nodes of rank offset a, sorted by size, that a full
+    flag can fill: a of the sorted classes rest go below such a node, so its
+    size lies strictly between rest[a - 1] and rest[a]."""
+    start = bisect_right(sizes, rest[a - 1]) if a else 0
+    stop = bisect_left(sizes, rest[a]) if a < len(rest) else len(sizes)
+    return slice(start, stop)
+
+
 def _flat_view(matroid, convention, scale):
-    """Nodes are the flats themselves, as bitmasks."""
+    """Nodes are the flats themselves, as bitmasks; only levels stores them."""
     rank = matroid._rank_of_flat.__getitem__
-    between = partial(flats_between, matroid._between_cache, matroid._lattice_index())
-    levels = partial(_levels, {}, between, rank, int.bit_count)
+    index = matroid._lattice_index()
+    between = partial(_read_between, index)
+    levels = partial(_levels, matroid._levels, index)
     weight = partial(insertion_weight, convention=convention, scale=scale)
     total = partial(_gap_weight_total, convention=convention, scale=scale)
     return _View(0, matroid.full_mask, rank, between, levels, weight, total, scale)
@@ -414,16 +410,15 @@ def _rank_view(n, convention, scale):
     def between(a, b):
         return range(a + 1, b)
 
-    levels = partial(_levels, {}, between, int, n.__getitem__)
-    return _View(0, len(n) - 1, int, between, levels, weight, total, scale)
+    levels = {(a, b): tuple(((k,), (n[k],)) for k in between(a, b)) for a, b in ch}
+    return _View(0, len(n) - 1, int, between, lambda a, b: levels[a, b], weight, total, scale)
 
 
 def _pick_view(matroid, convention, engine):
     """The matroid's (view, memo) of the DP for an engine name, None for flag.
 
     Built at the first auto query under convention and kept on the matroid,
-    so the view binds insertion_weight and _flat_view as they were then; the
-    views of both conventions share one levels memo.
+    so the view binds insertion_weight and _flat_view as they were then.
     """
     if engine not in _ENGINES:
         raise VOutOfRange(f"unknown engine {engine!r}")
@@ -435,8 +430,6 @@ def _pick_view(matroid, convention, engine):
         view = _rank_view(matroid.level_sizes(), convention, scale) or _flat_view(
             matroid, convention, scale
         )
-        for other, _ in matroid._degree_memos.values():  # levels depend on the lattice alone
-            view = view._replace(levels=other.levels)
         state = matroid._degree_memos[convention] = (view, {})
     return state
 
@@ -453,15 +446,10 @@ def _deg(view, memo, lo, hi, vs):
     if got is None:
         weight = view.weight
         val, rest = vs[0], vs[1:]
-        n_rest = len(rest)
         got = 0
         for a, (nodes, sizes) in enumerate(view.levels(lo, hi)):
-            # a full flag puts exactly a flats, so a classes, below a node of
-            # rank offset a: its size must lie strictly between rest[a - 1] and rest[a]
-            start = bisect_right(sizes, rest[a - 1]) if a else 0
-            stop = bisect_left(sizes, rest[a]) if a < n_rest else len(sizes)
             below, above = rest[:a], rest[a:]
-            for g in nodes[start:stop]:
+            for g in nodes[_window(sizes, rest, a)]:
                 wt = weight(lo, hi, g, val)
                 if wt and below:
                     left = memo.get((lo, g, below))

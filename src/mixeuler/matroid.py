@@ -21,7 +21,8 @@ contain it and of those that lack it. An interval is the AND, within the
 rank window, of the first bitsets of lo's elements and the second of the
 elements outside hi: one big-integer operation per element and one step
 per flat returned, instead of a subset test of every flat in the window.
-Only the engines that walk one interval again memoise it (flats_between).
+A read stores nothing: the one interval store is the engines' levels memo
+(Matroid._levels), filled by the walkers that come back to an interval.
 
 Element order is the natural integer order and minors relabel surviving
 elements in that induced order; several downstream weight conventions
@@ -137,8 +138,8 @@ class Matroid:
     and checks only the shape of the rows it reads: use the module-level
     build_* constructors and the minor methods, which supply the table.
 
-    A matroid never changes, so it memoises its degree engines, the interval
-    reads they repeat, and its minors; a minor asked again, after its
+    A matroid never changes, so it memoises its degree engines, the intervals
+    they come back to, and its minors; a minor asked again, after its
     arguments are checked, is the same object, and minors with the same
     lattice share one child.
     """
@@ -162,16 +163,17 @@ class Matroid:
         self.provenance = provenance
         self._rank_of_flat = {f: k for k, level in enumerate(levels) for f in level}
         self._cover_step = step
-        # (lo, hi) -> the flats strictly between, filled through flats_between
-        # by the engines that walk intervals again, never by a public query
-        self._between_cache = {}
         self._interval_index = None
+        # (lo, hi) -> the flats strictly between by rank, each rank sorted by
+        # size: the one interval store, filled by the walkers that come back
+        # to an interval (expansion._levels), never by a public query or pvol
+        self._levels = {}
         # convention -> (view, memo) of the auto degree engine (expansion.py),
         # filled by the first degree query under that convention
         self._degree_memos = {}
-        # (convention, lo, hi, val) -> [(g, scaled weight)] of the flats of
-        # nonzero weight that gamma_val puts into the gap (lo, hi), filled by
-        # the flag oracle (expansion._entering); the auto engine never reads it
+        # (convention, lo, hi, val) -> the scaled weight of each flat of
+        # _levels[lo, hi] in gamma_val, one tuple per rank, filled by the flag
+        # oracle (expansion._entering); the auto engine never reads it
         self._gap_weights = {}
         # convention -> {(canonical_key(), v, s): C(v, s)} over the minors that
         # recursion.deletion_contraction_degree reached from this matroid
@@ -235,8 +237,8 @@ class Matroid:
         (flats, has, lacks, first, rank, full): bit i of has[x] is set when
         flats[i] contains element x and bit i of lacks[x] when it does not,
         the flats of rank k are flats[first[k]:first[k + 1]], rank maps a flat
-        to its rank and full is the ground set. Plain data, so that
-        flats_between can be bound to it without the matroid.
+        to its rank and full is the ground set. Plain data, so that the
+        engines can bind it without the matroid.
         """
         if self._interval_index is None:
             flats = tuple(f for level in self.flats_by_rank for f in level)
@@ -255,16 +257,12 @@ class Matroid:
     def flats_strictly_between(self, lo: int, hi: int):
         """All flats G with lo < G < hi in level order, as a tuple.
 
-        Taken from the engines' memo when they walked the interval already,
-        else read off the lattice index and kept nowhere: the flats of the
-        ranks strictly between that contain every element of lo and no
-        element outside hi. NotAFlat when lo or hi is not a flat.
+        Read off the lattice index and kept nowhere: the flats of the ranks
+        strictly between that contain every element of lo and no element
+        outside hi. NotAFlat when lo or hi is not a flat.
         """
-        got = self._between_cache.get((lo, hi))
-        if got is None:  # the memo holds flats only, so a hit needs no check
-            self.rank_of_flat(lo), self.rank_of_flat(hi)  # NotAFlat unless both are flats
-            got = _read_between(self._lattice_index(), lo, hi)
-        return got
+        self.rank_of_flat(lo), self.rank_of_flat(hi)  # NotAFlat unless both are flats
+        return _read_between(self._lattice_index(), lo, hi)
 
     def corank_nullity_counts(self):
         """Counts of subsets by (corank, nullity), read off the lattice of flats.
@@ -414,29 +412,20 @@ class Matroid:
         return Matroid(self.m, step, provenance="truncation")
 
 
-def flats_between(cache: dict, index: tuple, lo: int, hi: int):
-    """The flats strictly between flats lo and hi, looked up in or added to cache.
-
-    The memoised read of the engines that walk one interval many times, with
-    the matroid's cache and lattice index passed in, so that a partial of it
-    holds no reference to the matroid. lo and hi must be flats, unchecked.
-    """
-    got = cache.get((lo, hi))
-    if got is None:
-        got = cache[lo, hi] = _read_between(index, lo, hi)
-    return got
-
-
 def _read_between(index: tuple, lo: int, hi: int):
     """The flats strictly between flats lo and hi, read off the lattice index.
 
     The candidates are the flats of the ranks strictly between; each element
     of lo keeps those that contain it, each element outside hi keeps those
-    that lack it, and the survivors are read off in level order.
+    that lack it, and the survivors are read off in level order. lo and hi
+    must be flats, unchecked; with no rank strictly between them (lo == hi,
+    or hi covers lo) the answer is empty before any bitset is read.
     """
     flats, has, lacks, first, rank, full = index
     begin, end = first[rank[lo] + 1], first[rank[hi]]
-    inside = (1 << end) - (1 << begin) if begin < end else 0
+    if begin >= end:
+        return ()
+    inside = (1 << end) - (1 << begin)
     for x in bits_of(lo):
         inside &= has[x]
     for x in bits_of(full & ~hi):

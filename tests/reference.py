@@ -11,7 +11,9 @@ DP over prefix sets; perm_classes_walk visits all m! orderings on a prefix
 tree. Tree enumeration skips flats of zero insertion weight;
 trees_unpruned grows every tree and lets tree_weight drop the zero ones.
 The flag expansion of a full-length product drops partial flags that
-cannot become maximal; expand_unpruned grows every one of them.
+cannot become maximal; expand_unpruned grows every one of them. It keeps
+the flats of each rank's size window, bisected out of the rank as the
+degree DP does; viable counts the classes left on each side of one flat.
 The remixed Eulerian numbers come from the degree DP's rank view;
 remixed_by_exchange solves their defining linear system instead.
 """
@@ -64,6 +66,28 @@ def flats_between_scan(matroid, lo: int, hi: int) -> tuple:
         for g in matroid.flats_by_rank[k]
         if g & lo == lo and g & hi == g
     )
+
+
+def viable(rank, lo, g, hi, rest) -> bool:
+    """Whether a maximal flag can still grow once flat g enters the gap (lo, hi).
+
+    rest holds the classes still to insert and rank maps a flat to its rank.
+    Each of them lands in the one gap whose sizes straddle it, so (lo, g)
+    must receive exactly rank(g) - rank(lo) - 1 of them, (g, hi) exactly
+    rank(hi) - rank(g) - 1, and none may equal |g| (a hit, which kills the
+    term). The other gaps of the flag are as they were when they were made.
+    """
+    lo_size, g_size, hi_size = lo.bit_count(), g.bit_count(), hi.bit_count()
+    below = above = 0
+    for val in rest:
+        if lo_size < val < hi_size:
+            if val < g_size:
+                below += 1
+            elif val > g_size:
+                above += 1
+            else:
+                return False
+    return below == rank[g] - rank[lo] - 1 and above == rank[hi] - rank[g] - 1
 
 
 def perm_classes_walk(matroid) -> dict:

@@ -58,7 +58,13 @@ def test_one_memo_per_convention():
     (oi_view, oi_memo), (mult_view, mult_memo) = (m._degree_memos[k] for k in CONVENTIONS)
     assert oi_view is not mult_view and oi_memo is not mult_memo
     assert oi_memo and mult_memo
-    assert oi_view.levels is mult_view.levels  # they depend on the lattice alone
+    # the flat views of both conventions read the matroid's one interval store
+    m = build_sparse_paving(3, 6, [(0, 1, 2), (3, 4, 5)])
+    for conv in CONVENTIONS:
+        mixed_eulerian_degree(m, (1, 0, 1, 0, 0), conv)
+    oi_levels, mult_levels = (m._degree_memos[k][0].levels for k in CONVENTIONS)
+    assert oi_levels.args[0] is mult_levels.args[0] is m._levels
+    assert m._levels
 
 
 @pytest.mark.parametrize(
@@ -79,9 +85,9 @@ def test_memo_dies_without_the_cycle_collector(make):
             for c in compositions(m.r, m.n):
                 mixed_eulerian_degree(m, c, conv)
             pvol(m, conv)
-            view, memo = m._degree_memos[conv]
-            assert memo
-            assert view.levels.args[0]  # the levels memo, bound into the view
+            assert m._degree_memos[conv][1]
+        # the flat view fills the matroid's interval store; the rank view needs none
+        assert bool(m._levels) == (m.level_sizes() is None)
         m.flats_strictly_between(0, m.full_mask)  # the rank view never builds the index
         assert m._interval_index is not None
         alive = weakref.ref(m)
@@ -138,22 +144,54 @@ def test_interval_memo_is_filled_by_the_engines_alone(engine):
     gc.disable()
     try:
         m = build_sparse_paving(3, 6, circuit_hyperplanes)
-        for f in m.proper_flats():
-            m.flats_strictly_between(0, f), m.flats_strictly_between(f, m.full_mask)
-        assert m._between_cache == {}
         engine(m)
-        memo = dict(m._between_cache)
-        assert memo
-        for (lo, hi), got in memo.items():  # a public query reads the memo, adds nothing
-            assert got == flats_between_scan(m, lo, hi)
-            assert m.flats_strictly_between(lo, hi) is got
-        assert m._between_cache == memo
+        assert m._levels
+        for (lo, hi), levels in m._levels.items():
+            got = [g for flats, _ in levels for g in flats]
+            assert sorted(got) == sorted(flats_between_scan(m, lo, hi))
         alive = weakref.ref(m)
         del m
         assert alive() is None
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_sparse_paving(3, 6, [(0, 1, 2), (3, 4, 5)]),
+        lambda: seeded_sparse_paving(8, 4, 20241101),
+        lambda: build_projective_geometry(2, 2),
+    ],
+    ids=["two 3-point lines on 6", "sparse paving on 8", "pg:2,2"],
+)
+def test_pvol_minors_and_interval_queries_store_nothing(make):
+    """pvol under both conventions, flats_strictly_between and minor_interval
+    leave the matroid's interval store as they found it: empty on a new
+    matroid, and as the engines left it once they have filled it."""
+    m = make()
+    flats = [f for level in m.flats_by_rank for f in level]
+
+    def outside_the_engines():
+        for conv in CONVENTIONS:
+            pvol(m, conv)
+        for lo in flats:
+            for hi in flats:
+                m.flats_strictly_between(lo, hi)
+                if lo & hi == lo and m.rank_of_flat(lo) < m.rank_of_flat(hi):
+                    m.minor_interval(lo, hi)
+
+    outside_the_engines()
+    assert m._levels == {}
+    for c in compositions(m.r, m.n):
+        vs = composition_to_indices(c)
+        mixed_eulerian_degree(m, c, "oi")
+        expand_gamma_product(m, vs, "mult")
+    filled = dict(m._levels)
+    assert filled
+    outside_the_engines()
+    assert m._levels == filled
 
 
 def test_flag_engine_leaves_the_memo_empty():

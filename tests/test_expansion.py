@@ -15,11 +15,11 @@ from mixeuler import (
     build_uniform,
     mask_of,
 )
+from mixeuler import expansion
 from mixeuler.catalog import named_catalog
 from mixeuler.errors import CompositionMismatch, VOutOfRange
 from mixeuler.expansion import (
     _entering,
-    _viable,
     check_composition,
     composition_to_indices,
     compositions,
@@ -27,13 +27,22 @@ from mixeuler.expansion import (
     expand_gamma_product,
     gamma_product_degree,
     indices_to_composition,
+    insertion_weight,
     log_concavity_check,
     mixed_eulerian_degree,
     pvol,
     weight_scale,
 )
 
-from reference import expand_unpruned, mult_weight, oi_weight, trees_unpruned
+from reference import (
+    expand_unpruned,
+    flats_between_scan,
+    mult_weight,
+    oi_weight,
+    trees_unpruned,
+    viable,
+)
+from test_matroid import fresh
 
 
 def eulerian_number(n, k):
@@ -228,24 +237,61 @@ def test_every_insertion_of_a_maximal_flag_is_viable(name):
                         lo = 0 if left is None else tree.flats[left]
                         hi = m.full_mask if right is None else tree.flats[right]
                         g = tree.flats[tree.position_of_label(t)]
-                        assert _viable(rank, lo, g, hi, order[t:]), (order, tree)
+                        assert viable(rank, lo, g, hi, order[t:]), (order, tree)
+
+
+@pytest.mark.parametrize("convention", ["oi", "mult"])
+@pytest.mark.parametrize("name", sorted(named_catalog()))
+def test_window_keeps_exactly_the_viable_flats(name, convention, monkeypatch):
+    """At every gap and step that the flag expansion meets on a product of
+    length r, in either order, _entering keeps exactly the flats of nonzero
+    weight that pass viable: the DP's size windows, taken over the classes
+    left inside the gap, are the counting rule."""
+    m = fresh(named_catalog()[name])
+    rank = m._rank_of_flat
+    entering = expansion._entering
+    met = set()
+    weighted = {}  # (lo, hi, val) -> the flats of nonzero weight, by scan
+
+    def checked(matroid, table, lo, hi, vs, i, convention, scale):
+        gap = entering(matroid, table, lo, hi, vs, i, convention, scale)
+        if (lo, hi, vs, i) not in met:
+            met.add((lo, hi, vs, i))
+            val = vs[i]
+            if (lo, hi, val) not in weighted:
+                weighted[lo, hi, val] = [
+                    (g, wt)
+                    for g in flats_between_scan(m, lo, hi)
+                    if (wt := insertion_weight(lo, hi, g, val, convention, scale))
+                ]
+            want = [(g, wt) for g, wt in weighted[lo, hi, val] if viable(rank, lo, g, hi, vs[i + 1 :])]
+            assert sorted(gap) == sorted(want), (vs, i, lo, hi)
+        return gap
+
+    monkeypatch.setattr(expansion, "_entering", checked)
+    scale = weight_scale(m.m, convention)
+    for c in compositions(m.r, m.n):
+        vs = composition_to_indices(c)
+        for order in (vs, vs[::-1]):
+            expansion._expand(m, order, convention, scale)
+    assert met or not m.r
 
 
 def test_viable_counts_each_gap_and_rejects_hits():
     m = build_boolean(4)  # rank 4: a maximal flag has flats of sizes 1, 2, 3
     rank = m._rank_of_flat
     point, line = mask_of([0]), mask_of([0, 1])
-    assert _viable(rank, 0, point, m.full_mask, (2, 3))
-    assert not _viable(rank, 0, point, m.full_mask, (1, 2, 3))  # 1 hits |point|
-    assert not _viable(rank, 0, point, m.full_mask, (3,))
-    assert not _viable(rank, 0, point, m.full_mask, (2, 2, 3))
-    assert _viable(rank, 0, line, m.full_mask, (1, 3))
-    assert not _viable(rank, 0, line, m.full_mask, (3, 3))
-    assert not _viable(rank, 0, line, m.full_mask, (1, 1))
-    assert not _viable(rank, 0, line, m.full_mask, (1, 2, 3))
+    assert viable(rank, 0, point, m.full_mask, (2, 3))
+    assert not viable(rank, 0, point, m.full_mask, (1, 2, 3))  # 1 hits |point|
+    assert not viable(rank, 0, point, m.full_mask, (3,))
+    assert not viable(rank, 0, point, m.full_mask, (2, 2, 3))
+    assert viable(rank, 0, line, m.full_mask, (1, 3))
+    assert not viable(rank, 0, line, m.full_mask, (3, 3))
+    assert not viable(rank, 0, line, m.full_mask, (1, 1))
+    assert not viable(rank, 0, line, m.full_mask, (1, 2, 3))
     # classes outside the gap belong to other gaps
-    assert _viable(rank, point, line, m.full_mask, (3,))
-    assert _viable(rank, point, line, mask_of([0, 1, 2]), ())
+    assert viable(rank, point, line, m.full_mask, (3,))
+    assert viable(rank, point, line, mask_of([0, 1, 2]), ())
 
 
 def test_entering_filters_the_shared_weights_per_call():
@@ -256,11 +302,14 @@ def test_entering_filters_the_shared_weights_per_call():
     # a point would be hit by the class 1 still to come: only lines and planes
     assert gap and {g.bit_count() for g, _ in gap} <= {2, 3}
     assert table == {(0, full, 0): gap}
-    kept = m._gap_weights["oi", 0, full, 2]
-    assert {g.bit_count() for g, _ in kept} == {1, 2, 3}
-    assert all(wt for _, wt in kept) and set(gap) <= set(kept)
+    # one weight per flat of the interval store, rank by rank, zeros included
+    levels, kept = m._levels[0, full], m._gap_weights["oi", 0, full, 2]
+    assert [len(wts) for wts in kept] == [len(flats) for flats, _ in levels] == [4, 6, 4]
+    nonzero = [(g, wt) for (flats, _), wts in zip(levels, kept) for g, wt in zip(flats, wts) if wt]
+    assert {g.bit_count() for g, _ in nonzero} == {1, 2, 3}
+    assert set(gap) <= set(nonzero)
     # another call, with nothing left after the class, filters the same weights anew
-    assert _entering(m, {}, 0, full, (2,), 0, "oi", 1) == kept
+    assert _entering(m, {}, 0, full, (2,), 0, "oi", 1) == nonzero
     assert list(m._gap_weights) == [("oi", 0, full, 2)]
 
 

@@ -29,7 +29,7 @@ from mixeuler.errors import (
     SizeViolation,
 )
 from mixeuler.catalog import named_catalog
-from mixeuler.matroid import _from_rank_oracle
+from mixeuler.matroid import _from_rank_oracle, _read_between
 
 from reference import corank_nullity_counts as reference_counts
 from reference import flats_between_scan
@@ -104,6 +104,15 @@ def test_sparse_paving_overlap_rejected():
         build_sparse_paving(3, 6, [(0, 1, 2), (0, 1, 3)])
     with pytest.raises(SizeViolation):
         build_sparse_paving(3, 6, [(0, 1)])
+
+
+def test_rank_one_sparse_paving_is_uniform():
+    # rank 1 is in range: with no circuit-hyperplane it is U(1, m), and a
+    # one-element circuit-hyperplane would be a loop
+    for m in range(1, 5):
+        assert build_sparse_paving(1, m, []).canonical_key() == build_uniform(1, m).canonical_key()
+    with pytest.raises(LoopDetected):
+        build_sparse_paving(1, 3, [(0,)])
 
 
 def test_fano_as_sparse_paving_matches_pg22():
@@ -471,11 +480,9 @@ def test_flats_strictly_between():
 
 
 def assert_intervals_by_scan(m, intervals):
-    """Each public interval query equals the scan, and none fills the memo
-    that only the degree engines keep."""
+    """Each public interval query equals the scan."""
     for lo, hi in intervals:
         assert m.flats_strictly_between(lo, hi) == flats_between_scan(m, lo, hi), (m, lo, hi)
-    assert m._between_cache == {}
 
 
 def every_pair_of_flats(m):
@@ -496,7 +503,6 @@ def test_interval_index_matches_the_scan(m):
         children = distinct_children(m, ("minor_interval", "delete_element"))
         for child in children + [m.truncate(s) for s in range(1, m.rank_total)]:
             assert_intervals_by_scan(child, every_pair_of_flats(child))
-        assert m._between_cache == {}
 
 
 def proper_flat_intervals(m):
@@ -519,7 +525,24 @@ def test_interval_query_rejects_a_set_that_is_not_a_flat():
         m.flats_strictly_between(0b111, m.full_mask)
     with pytest.raises(NotAFlat, match=r"\(0, 1, 2\) is not a flat"):
         m.flats_strictly_between(0, 0b111)
-    assert m._between_cache == {}
+    # no rank lies strictly between, but an end still has to be a flat
+    for lo, hi in ((0b111, 0b111), (0b11, 0b111), (0b111, m.full_mask)):
+        with pytest.raises(NotAFlat, match=r"\(0, 1, 2\) is not a flat"):
+            m.flats_strictly_between(lo, hi)
+
+
+@pytest.mark.parametrize("name", sorted(named_catalog()))
+def test_an_empty_rank_window_reads_no_bitset(name):
+    """With no rank strictly between lo and hi (lo == hi, or hi covers lo),
+    an interval read answers () before it touches a bitset."""
+    m = fresh(named_catalog()[name])
+    flats, _, _, first, rank, full = m._lattice_index()
+    blind = (flats, None, None, first, rank, full)  # a read of has or lacks raises
+    for f in flats:
+        assert _read_between(blind, f, f) == ()
+        for g in set(m._cover_step[f]) - {f}:  # the covers of f
+            assert _read_between(blind, f, g) == ()
+            assert m.flats_strictly_between(f, g) == ()
 
 
 # -- the lattice against brute force over a rank function ----------------------
