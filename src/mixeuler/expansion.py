@@ -36,11 +36,11 @@ Engines:
   between the a-th and the (a+1)-th of them. The DP reads the flats of
   each interval by rank, sorted by size, from the matroid's one interval
   store (_levels), and bisects that window out of each rank (_window),
-  never visiting the flats outside it. On perfect
-  matroid designs (projective geometries, uniform and Boolean matroids),
-  where all flats of one rank have one size, it walks ranks instead,
-  weighting each rank by the total weight of its flats in the interval,
-  in closed form. The matroid owns the memo on (lo, hi, vs), one per
+  never visiting the flats outside it. On perfect matroid designs
+  (projective geometries, uniform and Boolean matroids), where all flats
+  of one rank have one size, it walks ranks instead, weighting each rank
+  by the total weight of its flats in the interval, in closed form. The
+  matroid owns the memo on (lo, hi, vs), one per
   convention, next to the lattice view the DP walks: every auto query on
   one matroid reuses the sub-interval degrees of the queries before it,
   and both die with the matroid.
