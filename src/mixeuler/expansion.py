@@ -65,7 +65,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import partial
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb, factorial, lcm, prod
 
 from .errors import CompositionMismatch, InternalError, VOutOfRange
@@ -332,16 +332,13 @@ _View = namedtuple("_View", "bottom top rank between levels weight total scale")
 
 def _levels(store, index, lo, hi):
     """The flats strictly inside [lo, hi], one (flats, sizes) pair per rank
-    from the lowest, each rank sorted by size: read off the lattice index
-    once per interval and kept in store, the matroid's Matroid._levels."""
+    from the lowest, each sorted by size: read off the lattice index in
+    level order once per interval (every rank between holds a flat, as the
+    lattice is graded) and kept in store, the matroid's Matroid._levels."""
     got = store.get((lo, hi))
     if got is None:
-        rank = index[4]
-        base = rank[lo] + 1
-        by_rank = [[] for _ in range(rank[hi] - base)]
-        for g in _read_between(index, lo, hi):
-            by_rank[rank[g] - base].append(g)
-        by_rank = [tuple(sorted(flats, key=int.bit_count)) for flats in by_rank]
+        by_rank = groupby(_read_between(index, lo, hi), index[4].__getitem__)
+        by_rank = [tuple(sorted(flats, key=int.bit_count)) for _, flats in by_rank]
         got = store[lo, hi] = tuple((flats, tuple(map(int.bit_count, flats))) for flats in by_rank)
     return got
 
