@@ -39,11 +39,16 @@ Engines:
   never visiting the flats outside it. On perfect matroid designs
   (projective geometries, uniform and Boolean matroids), where all flats
   of one rank have one size, it walks ranks instead, weighting each rank
-  by the total weight of its flats in the interval, in closed form. The
-  matroid owns the memo on (lo, hi, vs), one per
-  convention, next to the lattice view the DP walks: every auto query on
-  one matroid reuses the sub-interval degrees of the queries before it,
-  and both die with the matroid.
+  by the total weight of its flats in the interval, in closed form. On
+  other matroids an interval [lo, hi] with rank(hi) - rank(lo) = |hi - lo|
+  is Boolean: every set between is a flat, and its degrees are Postnikov's
+  mixed Eulerian numbers, which depend on |hi - lo| alone. The flat view
+  answers it on the rank view of the Boolean matroid B_R, R the rank, over
+  the ranks 0 and |hi - lo|, and reads none of its flats. The matroid owns
+  the memo on (lo, hi, vs), one per convention, next to the lattice view
+  the DP walks (and B_R's view with its memo): every auto query on one
+  matroid reuses the sub-interval degrees of the queries before it, and
+  all of them die with the matroid.
 * "flag", the term-by-term flag expansion above. It is the reference oracle
   the DP is tested against and the backend of expand_gamma_product. It drops
   a partial flag as soon as it must die: a flat whose size is a class still
@@ -57,7 +62,7 @@ Engines:
 pvol runs the same DP on the same view, with each flat's weight summed over
 every class index in closed form (_gap_weight_total); every flat of an
 interval takes a class there, so it walks them all, read off the lattice
-index and stored nowhere.
+index and stored nowhere. It too answers a Boolean interval on B_R's view.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from functools import partial
 from itertools import combinations, groupby
 from math import comb, factorial, lcm, prod
 
-from .errors import CompositionMismatch, InternalError, VOutOfRange
+from .errors import CompositionMismatch, InternalError, RankTooSmall, VOutOfRange
 from .matroid import Matroid, _read_between, bits_of
 
 __all__ = [
@@ -324,10 +329,13 @@ def expand_gamma_product(matroid: Matroid, v, convention: str = "oi") -> Weighte
 # rank, and levels(lo, hi) holds them as one (nodes, sizes) pair per rank
 # from the lowest, in order of size; weight(lo, hi, g, val) is the insertion
 # weight of node g times scale, summed over the flats it stands for, and
-# total(lo, hi, g) that weight summed over every val. A view is kept on its
-# matroid, so it holds no reference to the matroid: the matroid dies
-# without the cycle collector.
-_View = namedtuple("_View", "bottom top rank between levels weight total scale")
+# total(lo, hi, g) that weight summed over every val. boolean is None on a
+# rank view; on a flat view it is the rank view of the Boolean matroid B_R
+# (R the rank of the matroid) and that view's degree memo, on which the DP
+# answers every Boolean interval. A view is kept on its matroid, so it
+# holds no reference to the matroid: the matroid dies without the cycle
+# collector.
+_View = namedtuple("_View", "bottom top rank between levels weight total scale boolean")
 
 
 def _levels(store, index, lo, hi):
@@ -353,14 +361,17 @@ def _window(sizes, rest, a):
 
 
 def _flat_view(matroid, convention, scale):
-    """Nodes are the flats themselves, as bitmasks; only levels stores them."""
+    """Nodes are the flats themselves, as bitmasks; only levels stores them.
+    B_R's view takes the matroid's scale; with _rank_view giving None, none."""
     rank = matroid._rank_of_flat.__getitem__
     index = matroid._lattice_index()
     between = partial(_read_between, index)
     levels = partial(_levels, matroid._levels, index)
     weight = partial(insertion_weight, convention=convention, scale=scale)
     total = partial(_gap_weight_total, convention=convention, scale=scale)
-    return _View(0, matroid.full_mask, rank, between, levels, weight, total, scale)
+    boolean = _rank_view(tuple(range(matroid.rank_total + 1)), convention, scale)
+    boolean = boolean and (boolean, {})
+    return _View(0, matroid.full_mask, rank, between, levels, weight, total, scale, boolean)
 
 
 def _rank_view(n, convention, scale):
@@ -408,7 +419,7 @@ def _rank_view(n, convention, scale):
         return range(a + 1, b)
 
     levels = {(a, b): tuple(((k,), (n[k],)) for k in between(a, b)) for a, b in ch}
-    return _View(0, len(n) - 1, int, between, lambda a, b: levels[a, b], weight, total, scale)
+    return _View(0, len(n) - 1, int, between, lambda a, b: levels[a, b], weight, total, scale, None)
 
 
 def _pick_view(matroid, convention, engine):
@@ -435,39 +446,49 @@ def _deg(view, memo, lo, hi, vs):
     """scale^len(vs) times the degree of the sorted product vs on [lo, hi].
 
     memo maps (lo, hi, vs) to it and must belong to view; the loop reads its
-    hits inline, without a call. Module-level, as is _vol: a recursive
-    closure would leave a cycle behind every query.
+    hits inline, without a call. A Boolean interval of a flat view is read
+    off view.boolean, with the classes counted from lo. Module-level, as is
+    _vol: a recursive closure would leave a cycle behind every query.
     """
     key = (lo, hi, vs)
     got = memo.get(key)
     if got is None:
-        weight = view.weight
-        val, rest = vs[0], vs[1:]
-        got = 0
-        for a, (nodes, sizes) in enumerate(view.levels(lo, hi)):
-            below, above = rest[:a], rest[a:]
-            for g in nodes[_window(sizes, rest, a)]:
-                wt = weight(lo, hi, g, val)
-                if wt and below:
-                    left = memo.get((lo, g, below))
-                    wt *= _deg(view, memo, lo, g, below) if left is None else left
-                if wt and above:
-                    right = memo.get((g, hi, above))
-                    wt *= _deg(view, memo, g, hi, above) if right is None else right
-                got += wt
+        u = view.boolean and hi.bit_count() - lo.bit_count()
+        if u and view.rank(hi) - view.rank(lo) == u:  # a Boolean interval
+            shift = lo.bit_count()
+            got = _deg(*view.boolean, 0, u, tuple(v - shift for v in vs))
+        else:
+            weight = view.weight
+            val, rest = vs[0], vs[1:]
+            got = 0
+            for a, (nodes, sizes) in enumerate(view.levels(lo, hi)):
+                below, above = rest[:a], rest[a:]
+                for g in nodes[_window(sizes, rest, a)]:
+                    wt = weight(lo, hi, g, val)
+                    if wt and below:
+                        left = memo.get((lo, g, below))
+                        wt *= _deg(view, memo, lo, g, below) if left is None else left
+                    if wt and above:
+                        right = memo.get((g, hi, above))
+                        wt *= _deg(view, memo, g, hi, above) if right is None else right
+                    got += wt
         memo[key] = got
     return got
 
 
-def _vol(view, memo, lo, hi):
+def _vol(view, memo, lo, hi, inner):
     """scale^j times the degree of (gamma_1 + ... + gamma_n)^j on [lo, hi],
-    j the number of classes it receives; memo maps (lo, hi) to it."""
+    j the number of classes it receives; memo maps (lo, hi) to it. A
+    Boolean interval of a flat view is read off view.boolean, whose (0, u)
+    keys go to inner, a memo of their own."""
     rank = view.rank
     j = rank(hi) - rank(lo) - 1
     if not j:
         return 1
     got = memo.get((lo, hi))
-    if got is None:
+    if got is None and view.boolean and j + 1 == hi.bit_count() - lo.bit_count():
+        got = memo[lo, hi] = _vol(view.boolean[0], inner, 0, j + 1, None)
+    elif got is None:
         base = rank(lo) + 1
         got = 0
         for g in view.between(lo, hi):
@@ -475,7 +496,8 @@ def _vol(view, memo, lo, hi):
             if wt:
                 # the j - 1 later classes interleave, a of them below g
                 a = rank(g) - base
-                got += wt * comb(j - 1, a) * _vol(view, memo, lo, g) * _vol(view, memo, g, hi)
+                below, above = _vol(view, memo, lo, g, inner), _vol(view, memo, g, hi, inner)
+                got += wt * comb(j - 1, a) * below * above
         memo[lo, hi] = got
     return got
 
@@ -520,15 +542,18 @@ def pvol(matroid: Matroid, convention: str = "oi", engine: str = "auto") -> int:
 
     Equals the multinomial-weighted sum of all A_c(M). The DP gets it in one
     pass, weighting each flat by its insertion weight summed over every class
-    index (_gap_weight_total), on the matroid's view but with its own memo;
-    engine "flag" takes that multinomial sum over the flag oracle.
+    index (_gap_weight_total), on the matroid's view but with its own memo.
+    On a flat view it reads each Boolean interval [lo, hi] off the rank view
+    of B_R, as the degrees do: that interval's volume is B_R's on the ranks
+    0 and |hi - lo|, kept in a second memo of the call's own. Engine "flag"
+    takes the multinomial sum over the flag oracle.
     """
     _check_convention(convention)
     r = matroid.r
     state = _pick_view(matroid, convention, engine)
     if state is not None:
         view = state[0]
-        return _unscale(_vol(view, {}, view.bottom, view.top), view.scale ** r)
+        return _unscale(_vol(view, {}, view.bottom, view.top, {}), view.scale ** r)
     return sum(
         factorial(r) // prod(map(factorial, c))
         * mixed_eulerian_degree(matroid, c, convention, "flag")
@@ -577,7 +602,9 @@ class LogConcavityResult(namedtuple("LogConcavityResult", "middle left right")):
 def log_concavity_check(
     matroid: Matroid, c, i: int, j: int, convention: str = "oi"
 ) -> LogConcavityResult:
-    """Compare A_{c+e_i+e_j}^2 against A_{c+2e_i} * A_{c+2e_j}."""
+    """Compare A_{c+e_i+e_j}^2 against A_{c+2e_i} * A_{c+2e_j}; needs r >= 2."""
+    if matroid.r < 2:
+        raise RankTooSmall(f"log-concavity check needs r >= 2, got r = {matroid.r}")
     n = matroid.n
     cs = check_composition(c, n, matroid.r - 2)
     if not (1 <= i <= n and 1 <= j <= n):

@@ -71,10 +71,11 @@ def test_one_memo_per_convention():
     "make",
     [
         lambda: build_sparse_paving(3, 6, [(0, 1, 2), (3, 4, 5)]),
+        lambda: seeded_sparse_paving(8, 4, 20241101),
         lambda: build_projective_geometry(3, 2),
         lambda: build_uniform(3, 6),
     ],
-    ids=["flat view", "rank view pg:3,2", "rank view uniform:3,6"],
+    ids=["flat view", "flat view, rank 4", "rank view pg:3,2", "rank view uniform:3,6"],
 )
 def test_memo_dies_without_the_cycle_collector(make):
     gc.collect()
@@ -85,7 +86,10 @@ def test_memo_dies_without_the_cycle_collector(make):
             for c in compositions(m.r, m.n):
                 mixed_eulerian_degree(m, c, conv)
             pvol(m, conv)
-            assert m._degree_memos[conv][1]
+            view, memo = m._degree_memos[conv]
+            assert memo
+            # the flat view answers Boolean intervals on B_R's rank view, with a memo of its own
+            assert (view.boolean is not None and bool(view.boolean[1])) == (m.level_sizes() is None)
         # the flat view fills the matroid's interval store; the rank view needs none
         assert bool(m._levels) == (m.level_sizes() is None)
         m.flats_strictly_between(0, m.full_mask)  # the rank view never builds the index

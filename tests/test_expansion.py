@@ -17,7 +17,7 @@ from mixeuler import (
 )
 from mixeuler import expansion
 from mixeuler.catalog import named_catalog
-from mixeuler.errors import CompositionMismatch, VOutOfRange
+from mixeuler.errors import CompositionMismatch, InputError, RankTooSmall, VOutOfRange
 from mixeuler.expansion import (
     _entering,
     check_composition,
@@ -485,3 +485,12 @@ def test_log_concavity_validates():
         log_concavity_check(build_uniform(4, 6), (-1, 2, 0, 0, 0), 1, 1)
     with pytest.raises(VOutOfRange):
         log_concavity_check(M, [0, 0, 0, 0], 0, 2)
+
+
+@pytest.mark.parametrize("m", [build_boolean(1), build_boolean(2), build_uniform(2, 4)], ids=repr)
+def test_log_concavity_needs_rank_two(m):
+    # r < 2 leaves no room for the two bumped classes; c would have to sum to r - 2 < 0
+    assert m.r < 2
+    with pytest.raises(RankTooSmall, match="needs r >= 2") as raised:
+        log_concavity_check(m, (0,) * m.n, 1, 1)
+    assert isinstance(raised.value, InputError)

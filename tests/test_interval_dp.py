@@ -324,6 +324,63 @@ def test_rank_view_weights_sum_the_flat_weights(m):
                     assert view.total(a, b, k) == want, (conv, lo, hi, k)
 
 
+# -- Boolean intervals, answered on the rank view of B_R ----------------------------
+
+
+def is_boolean(m, lo, hi):
+    """Every set between lo and hi is a flat: hi - lo is free over lo."""
+    return m.rank_of_flat(hi) - m.rank_of_flat(lo) == hi.bit_count() - lo.bit_count()
+
+
+def point_contraction_of_a_deletion():
+    """pg:3,2 less one point, contracted at another: 13 elements, rank 3, and
+    seven points, the one on the deleted point's line of size 1, six of size 2."""
+    deletion = build_projective_geometry(3, 2).delete_element(0)[0]
+    return deletion.contraction(deletion.flats_by_rank[1][0])[0]
+
+
+def boolean_cases():
+    named = [
+        (f"sparse paving rank {rank} on {size}", seeded_sparse_paving(size, rank, 20241101))
+        for rank, size in ((3, 7), (3, 10), (4, 9), (4, 10), (5, 8))
+    ]
+    named.append(("pg:3,2 less a point, over a point", point_contraction_of_a_deletion()))
+    return [pytest.param(m, id=name) for name, m in named]
+
+
+def test_the_minor_is_not_simple():
+    m = point_contraction_of_a_deletion()
+    assert (m.m, m.rank_total, m.level_sizes()) == (13, 3, None)
+    assert sorted(p.bit_count() for p in m.flats_by_rank[1]) == [1] + [2] * 6
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("m", boolean_cases())
+def test_boolean_intervals_match_flag(m, convention):
+    """Every degree and pvol of a flat view that answers its Boolean
+    intervals on B_R's rank view, against the flag oracle."""
+    m = fresh(m)
+    assert m.level_sizes() is None
+    assert all_degrees(m, convention) == all_degrees(m, convention, "flag")
+    # on a sparse paving matroid [0, g] is Boolean for each hyperplane g that
+    # is no circuit and takes r - 1 >= 1 classes; the minor's one Boolean
+    # interval, [0, p] for its point of size 1, takes none
+    boolean_memo = m._degree_memos[convention][0].boolean[1]
+    assert bool(boolean_memo) == (m.provenance == "sparse")
+
+
+def test_boolean_intervals_keep_no_levels():
+    """The auto DP reads no level of a Boolean interval, on the table's
+    sparse paving matroid on 10 elements, where most intervals are Boolean."""
+    m = table_kind_sparse_paving(10)
+    for conv in CONVENTIONS:
+        for c in compositions(m.r, m.n):
+            mixed_eulerian_degree(m, c, conv)
+    assert m._levels
+    assert not [key for key in m._levels if is_boolean(m, *key)]
+    assert [key for key in m._degree_memos["oi"][1] if is_boolean(m, *key[:2])]
+
+
 # -- the levels the DP walks and the windows it cuts from them ---------------------
 
 
@@ -387,11 +444,13 @@ def windowed(m, memo):
     ids=["two 3-point lines on 6", "rank 4 on 9"],
 )
 def test_dp_asks_weights_only_inside_each_size_window(m, monkeypatch):
-    """Each interval the DP computes asks once for the weight of each flat
-    inside its windows and of no other. Degrees cannot show an off-by-one
-    at a window's edge: a flat whose size equals a neighbouring class gets
-    weight 0 in its sub-interval. So the weights asked are counted, each
-    with the product it was asked under (the innermost _deg call)."""
+    """Each interval the pure flat DP computes (no B_R view, as _rank_view
+    gives None) asks once for the weight of each flat inside its windows and
+    of no other. Degrees cannot show an off-by-one at a window's edge: a
+    flat whose size equals a neighbouring class gets weight 0 in its
+    sub-interval. So the weights asked are counted, each with the product it
+    was asked under (the innermost _deg call). With the B_R view, a Boolean
+    interval asks for no weight of the flat view at all."""
     products = []
     deg = expansion._deg
 
@@ -406,7 +465,12 @@ def test_dp_asks_weights_only_inside_each_size_window(m, monkeypatch):
     full = m.full_mask
     for conv in CONVENTIONS:
         scale = weight_scale(m.m, conv)
-        view = expansion._flat_view(m, conv, scale)
+        with monkeypatch.context() as patch:
+            patch.setattr(expansion, "_rank_view", lambda *args: None)
+            view = expansion._flat_view(m, conv, scale)
+        assert view.boolean is None
+        delegating = expansion._flat_view(m, conv, scale)
+        assert delegating.boolean is not None
         asked = Counter()
 
         def weight(lo, hi, g, val):
@@ -414,6 +478,7 @@ def test_dp_asks_weights_only_inside_each_size_window(m, monkeypatch):
             return view.weight(lo, hi, g, val)
 
         counted = view._replace(weight=weight)
+        boolean_intervals = 0
         for c in compositions(m.r, m.n):
             vs = composition_to_indices(c)
             asked.clear()
@@ -432,3 +497,9 @@ def test_dp_asks_weights_only_inside_each_size_window(m, monkeypatch):
                     assert top == sorted(lines) and len(top) == 11
                 else:
                     assert top == sorted(points + (0b111, 0b111000)) and len(top) == 8
+            asked.clear()
+            memo = {}
+            assert traced_deg(delegating._replace(weight=weight), memo, 0, full, vs) == got, (conv, c)
+            assert not [key for key in asked if is_boolean(m, *key[:2])], (conv, c)
+            boolean_intervals += sum(is_boolean(m, lo, hi) for lo, hi, _ in memo)
+        assert boolean_intervals  # the B_R view answered some
