@@ -24,10 +24,14 @@ closed once. The finished table is keyed by jump counts
 kc_K(i) = |K & [0, i]| and descent bitmasks. Since c_0 + ... + c_i equals
 P_d(i) + i + 1 - kc_K(i), with P_d the prefix sums of d, the target is the
 bitmask of the i < n where P_d(i) < kc_K(i), and a monomial costs one
-dictionary lookup per jump class. A gamma product expands into lambda
-monomials by a walk over their prefix sums; the value of each monomial is
-memoised beside the table. Table and memo live on the matroid
-(`Matroid._localization`) and die with it.
+dictionary lookup per jump class. A gamma product reaches the lambda
+monomials by the change of basis gamma_j = lambda_j + gamma_{j+1}, applied
+one index at a time to a mixed exponent vector (`_mixed_sum`). The memo
+beside the table keeps each (index, mixed vector) and each lambda monomial
+reached, filled lazily. The mixed vectors at one index are compositions of
+r into n parts, so over the |C| compositions it holds at most (n + 1)|C|
+entries, and a sweep of all of them costs O(|C| (n + r)) terms. Table and
+memo live on the matroid (`Matroid._localization`) and die with it.
 
 The per-permutation constant-term lemma behind this is also implemented
 directly (`series_constant_term`) by eliminating xi_{w(0)}, ..., xi_{w(n)}
@@ -65,8 +69,9 @@ __all__ = [
     "MAX_GROUND_SET",
 ]
 
-# a permutation pass is (m)! flag walks; past 8 elements that is not a
-# desk-scale computation any more
+# the class table costs its DP's states, m 2^(m-1) (used set, last image)
+# pairs, times the tallies each keeps, one per (jump mask, descent mask)
+# reached: about 26k tally updates at 8 elements, and 4x more per element
 MAX_GROUND_SET = 8
 
 
@@ -143,8 +148,9 @@ def descent_target(d, k_set) -> DescentTarget:
 def _class_entry(matroid: Matroid) -> tuple:
     """(table, memo) of the matroid: its class table and its descent sums.
 
-    memo maps the prefix sums of an exponent vector to _raw_descent_sum's
-    value; both are filled on first use and die with the matroid.
+    memo maps the prefix sums of a lambda vector to _raw_descent_sum's value
+    and (j, mixed vector) to _mixed_sum's; both are filled on first use and
+    die with the matroid.
     """
     if matroid.m > MAX_GROUND_SET:
         raise SizeViolation(
@@ -274,28 +280,37 @@ def lambda_monomial_degree(matroid: Matroid, d) -> int:
     return _global_sign(matroid) * _raw_descent_sum(_class_entry(matroid), _prefix_sums(ds))
 
 
-def gamma_degree_via_localization(matroid: Matroid, c) -> int:
-    """Degree of gamma_1^c_1 ... gamma_n^c_n through the descent formula.
+def _mixed_sum(entry: tuple, j: int, e: tuple) -> int:
+    """V_j(e): the descent sum of the monomial whose exponents e are on
+    lambda_0 .. lambda_{j-1} and gamma_j .. gamma_n, memoised in the entry.
 
-    Each gamma_k splits as lambda_k + ... + lambda_n. A lambda-exponent
-    vector d takes its weight from the c_1 + ... + c_j factors that may
-    land on lambda_j, less the P_{j-1} = d_0 + ... + d_{j-1} already
-    placed: the product of C(c_1 + ... + c_j - P_{j-1}, d_j). The walk runs
-    over prefix sums; d_n takes what is left, in one way.
+    gamma_j = lambda_j + gamma_{j+1} gives V_j(e) = sum_i C(e_j, i)
+    V_{j+1}(e with e_j -> i, e_{j+1} -> e_{j+1} + e_j - i); an index with
+    e_j = 0 passes through, and at j = n (gamma_n = lambda_n) e is a lambda
+    vector with _raw_descent_sum as its value.
     """
-    n = matroid.n
-    cs = check_composition(c, n, matroid.r)
+    n = len(e) - 1
+    while j < n and not e[j]:
+        j += 1
+    if j == n:
+        return _raw_descent_sum(entry, _prefix_sums(e))
+    memo = entry[1]
+    got = memo.get((j, e))
+    if got is None:
+        head, ej, nxt, tail = e[:j], e[j], e[j + 1], e[j + 2:]
+        got = 0
+        for i in range(ej + 1):
+            got += comb(ej, i) * _mixed_sum(entry, j + 1, head + (i, nxt + ej - i) + tail)
+        memo[j, e] = got
+    return got
+
+
+def gamma_degree_via_localization(matroid: Matroid, c) -> int:
+    """Degree of gamma_1^c_1 ... gamma_n^c_n through the descent formula:
+    sign * V_0(0, c_1, ..., c_n), changing basis one index at a time."""
+    cs = check_composition(c, matroid.n, matroid.r)
     sign = _global_sign(matroid)
-    entry = _class_entry(matroid)
-    walks = [((), 0, 1)]  # prefix sums so far, their last value, weight
-    for avail in tuple(accumulate((0,) + cs))[:n]:
-        nxt = []
-        for prefix, placed, w in walks:
-            free = avail - placed
-            for dj in range(free + 1):
-                nxt.append((prefix + (placed + dj,), placed + dj, w * comb(free, dj)))
-        walks = nxt
-    return sign * sum(w * _raw_descent_sum(entry, prefix) for prefix, _, w in walks)
+    return sign * _mixed_sum(_class_entry(matroid), 0, (0,) + cs)
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,9 @@ class Matroid:
         # Boolean keeps its own degree memo warm across calls
         self._convolution = None
         # (class table, descent-sum memo) of localization._class_entry, set by
-        # the first permutation pass on this matroid
+        # the first permutation pass on this matroid; the memo keeps the lambda
+        # monomials and (index, mixed vector) states of the gamma -> lambda
+        # change of basis reached, at most (n + 1) times the compositions
         self._localization = None
         # (lower, upper) or a deleted element -> (child, MinorMap), and
         # (provenance, canonical_key()) -> the one child kept with that lattice;

@@ -16,11 +16,17 @@ the flats of each rank's size window, bisected out of the rank as the
 degree DP does; viable counts the classes left on each side of one flat.
 The remixed Eulerian numbers come from the degree DP's rank view;
 remixed_by_exchange solves their defining linear system instead.
+Localization reaches a gamma product's lambda monomials by changing basis
+one index at a time; localization_walk visits every lambda-exponent vector
+the composition allows and weighs it by binomials.
 """
 
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 
 from mixeuler.expansion import _find_gap, compositions, insertion_weight
+from mixeuler.localization import lambda_monomial_degree
 from mixeuler.trees import PostnikovTree, tree_weight
 
 
@@ -123,6 +129,29 @@ def _walk_perms(closure, full, classes, used_mask, closure_mask, last_img, pos, 
             k_set + (pos,) if nxt != closure_mask else k_set,
             des_set | {pos - 1} if pos > 0 and last_img > img else des_set,
         )
+
+
+def localization_walk(matroid, c) -> int:
+    """Degree of gamma_1^c_1 ... gamma_n^c_n as a sum of lambda monomials.
+
+    Each gamma_k splits as lambda_k + ... + lambda_n. A lambda-exponent
+    vector d takes its weight from the c_1 + ... + c_j factors that may
+    land on lambda_j, less the d_0 + ... + d_{j-1} already placed: the
+    product of C(c_1 + ... + c_j - d_0 - ... - d_{j-1}, d_j). The walk runs
+    over d_0 .. d_{n-1}; d_n takes what is left, in one way.
+    """
+    walks = [((), 0, 1)]  # exponents so far, their sum, weight
+    for avail in tuple(accumulate((0,) + tuple(c)))[: matroid.n]:
+        nxt = []
+        for d, placed, w in walks:
+            free = avail - placed
+            for dj in range(free + 1):
+                nxt.append((d + (dj,), placed + dj, w * comb(free, dj)))
+        walks = nxt
+    return sum(
+        w * lambda_monomial_degree(matroid, d + (matroid.r - placed,))
+        for d, placed, w in walks
+    )
 
 
 def expand_unpruned(matroid, vs, convention, scale) -> dict:

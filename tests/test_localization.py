@@ -34,7 +34,7 @@ from mixeuler.localization import (
     series_constant_term,
 )
 
-from reference import perm_classes_walk
+from reference import localization_walk, perm_classes_walk
 from seeded import seeded_sparse_paving
 
 FANO_LINES = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
@@ -263,12 +263,86 @@ def test_ground_set_guard():
         lambda: build_sparse_paving(3, 6, [(0, 1, 2), (3, 4, 5)]),
         lambda: build_fano(),
         lambda: seeded_sparse_paving(8, 4, 20240901, 3),
+        *[
+            pytest.param(lambda m=m: m, id=name)
+            for name, m in named_catalog().items()
+            if m.m <= 8
+        ],
+        pytest.param(lambda: seeded_sparse_paving(7, 3, 20240903), id="sp7_20240903"),
+        pytest.param(lambda: seeded_sparse_paving(7, 4, 20240904), id="sp7_20240904"),
+        pytest.param(lambda: seeded_sparse_paving(8, 3, 20240905), id="sp8_20240905"),
+        pytest.param(lambda: build_boolean(8), id="b8"),
     ],
 )
 def test_all_compositions_match_oracle(build):
+    # the change of basis, the walk over lambda monomials and the auto DP
     m = build()
     for c in compositions(m.r, m.n):
-        assert gamma_degree_via_localization(m, c) == mixed_eulerian_degree(m, c), c
+        want = mixed_eulerian_degree(m, c)
+        assert gamma_degree_via_localization(m, c) == localization_walk(m, c) == want, c
+
+
+# ---------------------------------------------------------------------------
+# the change of basis: edge cases and its memo
+
+
+@pytest.mark.parametrize(
+    "build, c",
+    [
+        (lambda: build_boolean(1), ()),
+        (lambda: build_boolean(2), (1,)),
+        (lambda: build_uniform(1, 4), (0, 0, 0)),
+    ],
+    ids=["n0", "n1", "r0"],
+)
+def test_change_of_basis_edge_cases(build, c):
+    m = build()
+    assert list(compositions(m.r, m.n)) == [c]
+    assert gamma_degree_via_localization(m, c) == localization_walk(m, c) == 1
+    assert mixed_eulerian_degree(m, c) == 1
+
+
+def test_sweep_memo_is_bounded_and_dies_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        m = build_boolean(8)
+        cs = list(compositions(m.r, m.n))
+        assert len(cs) == 1716
+        for c in cs:
+            gamma_degree_via_localization(m, c)
+        memo = m._localization[1]
+        # at most one state per (index, mixed vector), one per lambda monomial
+        assert len(memo) <= m.n * len(cs) + len(cs)
+        alive = weakref.ref(m)
+        del m
+        assert alive() is None
+        assert sys.getrefcount(memo) == 2
+    finally:
+        gc.enable()
+
+
+def test_a_second_sweep_reads_the_states():
+    m = build_uniform(4, 7)
+    cs = [c for c in compositions(m.r, m.n) if any(c[:-1])]
+    want = [gamma_degree_via_localization(m, c) for c in cs]
+    assert all(want)
+    # no class table and no lambda monomial: only (index, mixed vector) keys
+    memo = m._localization[1]
+    m._localization = ((), {k: v for k, v in memo.items() if isinstance(k[-1], tuple)})
+    assert [gamma_degree_via_localization(m, c) for c in cs] == want
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_boolean(8), lambda: build_uniform(3, 5), build_fano],
+    ids=["b8", "u35", "fano"],
+)
+def test_top_class_power_adds_one_entry(build):
+    m = build()
+    c = (0,) * (m.n - 1) + (m.r,)
+    assert gamma_degree_via_localization(m, c) == mixed_eulerian_degree(m, c)
+    assert len(m._localization[1]) == 1
 
 
 # ---------------------------------------------------------------------------
