@@ -36,10 +36,14 @@ Engines:
   between the a-th and the (a+1)-th of them. The DP reads the flats of
   each interval by rank, sorted by size, from the matroid's one interval
   store (_levels), and bisects that window out of each rank (_window),
-  never visiting the flats outside it. On perfect matroid designs
+  never visiting the flats outside it. It sets the gap (lo, hi) up for v_1
+  once per interval (_gap_weight: the oi top mask, the mult constants) and
+  calls the result on each flat of the windows. On perfect matroid designs
   (projective geometries, uniform and Boolean matroids), where all flats
   of one rank have one size, it walks ranks instead, weighting each rank
-  by the total weight of its flats in the interval, in closed form. On
+  by the total weight of its flats in the interval, in closed form; that
+  view keeps each gap's weights, one per rank, in a memo of at most
+  R(R+1)/2 * n gaps (R the rank), which dies with the matroid. On
   other matroids an interval [lo, hi] with rank(hi) - rank(lo) = |hi - lo|
   is Boolean: every set between is a flat, and its degrees are Postnikov's
   mixed Eulerian numbers, which depend on |hi - lo| alone. The flat view
@@ -123,6 +127,27 @@ def insertion_weight(
     s = g.bit_count() - lo_size
     k = val - lo_size
     return scale * min(s, k) - scale // (hi.bit_count() - lo_size) * k * s
+
+
+def _gap_weight(lo, hi, val, convention, scale):
+    """insertion_weight(lo, hi, g, val, convention, scale) as a function of
+    the flat g alone, with what depends only on the gap worked out once: the
+    top mask under oi, |lo|, val - |lo| and scale // |hi - lo| under mult.
+    The DP's flat view calls it once per gap, and the rank view once per
+    gap under mult; the flag oracle, tree growth and the relations call
+    insertion_weight, so they check it."""
+    lo_size = lo.bit_count()
+    if convention == "oi":
+        top = hi & ~lo
+        for _ in range(val - lo_size):
+            top &= top - 1
+        # max(0, |g| - val), spelled without a call
+        return lambda g: scale * ((g & top).bit_count() - ((s := g.bit_count()) > val and s - val))
+    k = val - lo_size
+    step = scale // (hi.bit_count() - lo_size) * k
+    # scale * min(s, k) - step * s, one branch for each side of k
+    low, high = scale - step, scale * k
+    return lambda g: low * s if (s := g.bit_count() - lo_size) <= k else high - step * s
 
 
 def _gap_weight_total(lo: int, hi: int, g: int, convention: str, scale: int) -> int:
@@ -327,15 +352,19 @@ def expand_gamma_product(matroid: Matroid, v, convention: str = "oi") -> Weighte
 # A lattice as the DP walks it. between(lo, hi) lists the nodes strictly
 # inside an interval, each standing for one flat or for all flats of one
 # rank, and levels(lo, hi) holds them as one (nodes, sizes) pair per rank
-# from the lowest, in order of size; weight(lo, hi, g, val) is the insertion
-# weight of node g times scale, summed over the flats it stands for, and
-# total(lo, hi, g) that weight summed over every val. boolean is None on a
-# rank view; on a flat view it is the rank view of the Boolean matroid B_R
-# (R the rank of the matroid) and that view's degree memo, on which the DP
-# answers every Boolean interval. A view is kept on its matroid, so it
-# holds no reference to the matroid: the matroid dies without the cycle
-# collector.
-_View = namedtuple("_View", "bottom top rank between levels weight total scale boolean")
+# from the lowest, in order of size. weight(lo, hi, val) is the gap's
+# weight for gamma_val, set up once per gap: called on a node g, it gives
+# the insertion weight of g times scale, summed over the flats g stands
+# for. total(lo, hi, g) is that weight summed over every val. gaps is None
+# on a flat view, which sets each gap up afresh; on a rank view it keeps
+# each gap's weights as a dict {k: weight} on (a, b, val), at most
+# R(R+1)/2 * n of them, and weight returns the dict's __getitem__. boolean
+# is None on a rank view; on a flat view it is the rank view of the
+# Boolean matroid B_R (R the rank of the matroid) and that view's degree
+# memo, on which the DP answers every Boolean interval. A view is kept on
+# its matroid, so it holds no reference to the matroid: the matroid dies
+# without the cycle collector.
+_View = namedtuple("_View", "bottom top rank between levels weight total scale gaps boolean")
 
 
 def _levels(store, index, lo, hi):
@@ -367,11 +396,11 @@ def _flat_view(matroid, convention, scale):
     index = matroid._lattice_index()
     between = partial(_read_between, index)
     levels = partial(_levels, matroid._levels, index)
-    weight = partial(insertion_weight, convention=convention, scale=scale)
+    weight = partial(_gap_weight, convention=convention, scale=scale)
     total = partial(_gap_weight_total, convention=convention, scale=scale)
     boolean = _rank_view(tuple(range(matroid.rank_total + 1)), convention, scale)
     boolean = boolean and (boolean, {})
-    return _View(0, matroid.full_mask, rank, between, levels, weight, total, scale, boolean)
+    return _View(0, matroid.full_mask, rank, between, levels, weight, total, scale, None, boolean)
 
 
 def _rank_view(n, convention, scale):
@@ -385,6 +414,7 @@ def _rank_view(n, convention, scale):
     count[a + 1, k, b] of these flats. The weights sum over the flats in closed
     form from sizes and counts, never the matroid. The counts and the oi weight
     need only +, -, *, exact // and an order, so sizes may lie in Z[q] (pmd).
+    Each gap's weights are worked out at its first call and kept in gaps.
     """
     if n is None:
         return None
@@ -396,8 +426,11 @@ def _rank_view(n, convention, scale):
     count = {(a, k, b): ch[a, b] // (ch[a, k] * ch[k, b]) for a, b in ch for k in range(a, b + 1)}
     if convention == "oi":
 
-        def weight(a, b, k, val):
-            return scale * ((n[b] - val) * count[a + 1, k, b] - count[a, k, b] * max(0, n[k] - val))
+        def row(a, b, val):
+            return {
+                k: scale * ((n[b] - val) * count[a + 1, k, b] - count[a, k, b] * max(0, n[k] - val))
+                for k in range(a + 1, b)
+            }
 
         def total(a, b, k):
             u, s = n[b] - n[a], n[k] - n[a]
@@ -406,20 +439,28 @@ def _rank_view(n, convention, scale):
     else:
         # mult weights depend on sizes only: one flat, as a prefix mask, stands for all
         mask = [(1 << size) - 1 for size in n]
-        one_weight = partial(insertion_weight, convention=convention, scale=scale)
         one_total = partial(_gap_weight_total, convention=convention, scale=scale)
 
-        def weight(a, b, k, val):
-            return count[a, k, b] * one_weight(mask[a], mask[b], mask[k], val)
+        def row(a, b, val):
+            one = _gap_weight(mask[a], mask[b], val, convention, scale)
+            return {k: count[a, k, b] * one(mask[k]) for k in range(a + 1, b)}
 
         def total(a, b, k):
             return count[a, k, b] * one_total(mask[a], mask[b], mask[k])
+
+    gaps = {}
+
+    def weight(a, b, val):
+        got = gaps.get((a, b, val))
+        if got is None:
+            got = gaps[a, b, val] = row(a, b, val).__getitem__
+        return got
 
     def between(a, b):
         return range(a + 1, b)
 
     levels = {(a, b): tuple(((k,), (n[k],)) for k in between(a, b)) for a, b in ch}
-    return _View(0, len(n) - 1, int, between, lambda a, b: levels[a, b], weight, total, scale, None)
+    return _View(0, len(n) - 1, int, between, lambda a, b: levels[a, b], weight, total, scale, gaps, None)
 
 
 def _pick_view(matroid, convention, engine):
@@ -458,13 +499,13 @@ def _deg(view, memo, lo, hi, vs):
             shift = lo.bit_count()
             got = _deg(*view.boolean, 0, u, tuple(v - shift for v in vs))
         else:
-            weight = view.weight
-            val, rest = vs[0], vs[1:]
+            weight = view.weight(lo, hi, vs[0])
+            rest = vs[1:]
             got = 0
             for a, (nodes, sizes) in enumerate(view.levels(lo, hi)):
                 below, above = rest[:a], rest[a:]
                 for g in nodes[_window(sizes, rest, a)]:
-                    wt = weight(lo, hi, g, val)
+                    wt = weight(g)
                     if wt and below:
                         left = memo.get((lo, g, below))
                         wt *= _deg(view, memo, lo, g, below) if left is None else left

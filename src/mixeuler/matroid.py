@@ -510,6 +510,8 @@ def build_uniform(rank: int, n_plus_1: int) -> Matroid:
 
 
 def build_boolean(n_plus_1: int) -> Matroid:
+    if n_plus_1 < 1:
+        raise RankOutOfRange(f"Boolean matroid on {n_plus_1} elements needs at least 1 element")
     return build_uniform(n_plus_1, n_plus_1)
 
 

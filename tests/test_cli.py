@@ -10,7 +10,7 @@ import pytest
 
 from mixeuler import cli
 from mixeuler.cli import MatroidSpec, parse_matroid_spec, run
-from mixeuler.errors import InternalError, ParseError
+from mixeuler.errors import InternalError, ParseError, RankOutOfRange
 from mixeuler.expansion import mixed_eulerian_degree
 from mixeuler.matroid import build_sparse_paving
 
@@ -177,6 +177,13 @@ class TestDegree:
         # boolean:1 has r = n = 0: the empty composition is its one query
         code, out, _ = run_cli(capsys, *argv, "--matroid", "boolean:1")
         assert (code, out) == (0, expect)
+
+    def test_boolean_on_no_elements_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "degree", "--matroid", "boolean:0", "--c=")
+        assert (code, out) == (1, "")
+        assert err == "error: Boolean matroid on 0 elements needs at least 1 element\n"
+        with pytest.raises(RankOutOfRange):
+            parse_matroid_spec("boolean:0").build()
 
     def test_empty_composition_needs_n_zero(self, capsys):
         code, _, err = run_cli(capsys, "degree", "--matroid", "boolean:3", "--c=")

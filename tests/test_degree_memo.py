@@ -90,6 +90,10 @@ def test_memo_dies_without_the_cycle_collector(make):
             assert memo
             # the flat view answers Boolean intervals on B_R's rank view, with a memo of its own
             assert (view.boolean is not None and bool(view.boolean[1])) == (m.level_sizes() is None)
+            # a rank view keeps each gap's weights: at most one entry per pair of ranks and class
+            rank_view = view.boolean[0] if view.gaps is None else view
+            R = m.rank_total
+            assert 0 < len(rank_view.gaps) <= R * (R + 1) // 2 * m.n
         # the flat view fills the matroid's interval store; the rank view needs none
         assert bool(m._levels) == (m.level_sizes() is None)
         m.flats_strictly_between(0, m.full_mask)  # the rank view never builds the index

@@ -157,10 +157,15 @@ def test_insertion_weight_matches_reference_formulas():
 @pytest.mark.parametrize("engine", ["auto", "flag"])
 def test_inexact_final_division_raises(monkeypatch, engine):
     # every flat weighted 1: the scaled sum is a flag count far below L^r,
-    # so the division by L^r leaves a remainder. The matroid must be built
-    # after the patch: the auto engine binds insertion_weight into the view
-    # it keeps on the matroid at its first query.
-    monkeypatch.setattr(expansion, "insertion_weight", lambda *args, **kwargs: 1)
+    # so the division by L^r leaves a remainder. The flag oracle weighs each
+    # flat with insertion_weight; the auto engine sets each gap up with
+    # _gap_weight, which its rank view calls on one flat per rank and
+    # multiplies by the number of flats. The matroid must be built after the
+    # patch: the auto engine keeps its view on the matroid at its first query.
+    if engine == "auto":
+        monkeypatch.setattr(expansion, "_gap_weight", lambda *args: lambda g: 1)
+    else:
+        monkeypatch.setattr(expansion, "insertion_weight", lambda *args, **kwargs: 1)
     fano = build_projective_geometry(2, 2)
     with pytest.raises(InternalError):
         expansion.gamma_product_degree(fano, (1, 2), "mult", engine)
@@ -201,7 +206,7 @@ def test_rank_view_total_is_the_sum_over_class_indices(m):
             for hi in nodes:
                 for g in view.between(lo, hi):
                     vals = range(sizes[lo] + 1, sizes[hi])
-                    want = sum(view.weight(lo, hi, g, val) for val in vals)
+                    want = sum(view.weight(lo, hi, val)(g) for val in vals)
                     assert view.total(lo, hi, g) == want, (conv, lo, hi, g)
 
 
@@ -319,9 +324,74 @@ def test_rank_view_weights_sum_the_flat_weights(m):
                     level = [g for g in inside if rank(g) == k]
                     for val in range(lo.bit_count() + 1, hi.bit_count()):
                         want = sum(insertion_weight(lo, hi, g, val, conv, scale) for g in level)
-                        assert view.weight(a, b, k, val) == want, (conv, lo, hi, k, val)
+                        assert view.weight(a, b, val)(k) == want, (conv, lo, hi, k, val)
                     want = sum(expansion._gap_weight_total(lo, hi, g, conv, scale) for g in level)
                     assert view.total(a, b, k) == want, (conv, lo, hi, k)
+
+
+# -- the per-gap weights the DP sets up, against insertion_weight ---------------------
+
+
+def flat_gap_cases():
+    # b1 has no flat strictly inside an interval
+    named = [(name, m) for name, m in sorted(named_catalog().items()) if 2 <= m.m <= 9]
+    named += [
+        ("sparse paving on 9", seeded_sparse_paving(9, 4, 20241101, 3)),
+        ("sparse paving on 8", seeded_sparse_paving(8, 3, 20241103)),
+    ]
+    return [pytest.param(m, id=name) for name, m in named]
+
+
+@pytest.mark.parametrize("m", flat_gap_cases())
+def test_flat_view_gap_weights_match_insertion_weight(m):
+    """The flat view's weight(lo, hi, val), called on a flat g, is
+    insertion_weight(lo, hi, g, val) for every pair of nested flats, every
+    flat strictly between them and every |lo| < val < |hi|."""
+    flats = [f for level in m.flats_by_rank for f in level]
+    cases = 0
+    for conv in CONVENTIONS:
+        scale = weight_scale(m.m, conv)
+        weight = expansion._flat_view(m, conv, scale).weight
+        for lo in flats:
+            for hi in flats:
+                if lo & hi != lo or lo == hi:
+                    continue
+                inside = m.flats_strictly_between(lo, hi)
+                for val in range(lo.bit_count() + 1, hi.bit_count()):
+                    gap = weight(lo, hi, val)
+                    for g in inside:
+                        assert gap(g) == insertion_weight(lo, hi, g, val, conv, scale), (conv, lo, hi, g, val)
+                        cases += 1
+    assert cases
+
+
+@pytest.mark.parametrize(
+    "m",
+    [build_projective_geometry(2, 2), build_projective_geometry(3, 2), build_uniform(4, 8), build_boolean(5)],
+    ids=["pg:2,2", "pg:3,2", "uniform:4,8", "boolean:5"],
+)
+def test_rank_view_gap_weights_sum_insertion_weight(m):
+    """Each (a, b, val) entry of the rank view's gap memo holds, for every
+    rank k strictly between, the sum of insertion_weight over the rank-k
+    flats of an interval [lo, hi] built with ranks a and b; a second call
+    returns the stored entry."""
+    rank, sizes, top = m.rank_of_flat, m.level_sizes(), m.rank_total
+    for conv in CONVENTIONS:
+        scale = weight_scale(m.m, conv)
+        view = expansion._rank_view(sizes, conv, scale)
+        for a in range(top + 1):
+            lo = m.flats_by_rank[a][-1]
+            for b in range(a + 1, top + 1):
+                hi = next(f for f in m.flats_by_rank[b] if f & lo == lo)
+                inside = m.flats_strictly_between(lo, hi)
+                for val in range(sizes[a] + 1, sizes[b]):
+                    gap = view.weight(a, b, val)
+                    assert view.weight(a, b, val) is gap is view.gaps[a, b, val]
+                    assert set(gap.__self__) == set(range(a + 1, b))
+                    for k in range(a + 1, b):
+                        want = sum(insertion_weight(lo, hi, g, val, conv, scale) for g in inside if rank(g) == k)
+                        assert gap(k) == want, (conv, a, b, k, val)
+        assert len(view.gaps) == sum(max(0, sizes[b] - sizes[a] - 1) for b in range(top + 1) for a in range(b))
 
 
 # -- Boolean intervals, answered on the rank view of B_R ----------------------------
@@ -445,12 +515,13 @@ def windowed(m, memo):
 )
 def test_dp_asks_weights_only_inside_each_size_window(m, monkeypatch):
     """Each interval the pure flat DP computes (no B_R view, as _rank_view
-    gives None) asks once for the weight of each flat inside its windows and
-    of no other. Degrees cannot show an off-by-one at a window's edge: a
-    flat whose size equals a neighbouring class gets weight 0 in its
-    sub-interval. So the weights asked are counted, each with the product it
-    was asked under (the innermost _deg call). With the B_R view, a Boolean
-    interval asks for no weight of the flat view at all."""
+    gives None) sets its gap up once, and asks the result once for the
+    weight of each flat inside its windows and of no other. Degrees cannot
+    show an off-by-one at a window's edge: a flat whose size equals a
+    neighbouring class gets weight 0 in its sub-interval. So the gaps set up
+    and the weights asked are counted, each with the product it was asked
+    under (the innermost _deg call). With the B_R view, a Boolean interval
+    asks the flat view for no gap and no weight at all."""
     products = []
     deg = expansion._deg
 
@@ -471,20 +542,28 @@ def test_dp_asks_weights_only_inside_each_size_window(m, monkeypatch):
         assert view.boolean is None
         delegating = expansion._flat_view(m, conv, scale)
         assert delegating.boolean is not None
-        asked = Counter()
+        asked, gaps = Counter(), Counter()
 
-        def weight(lo, hi, g, val):
-            asked[lo, hi, products[-1], g] += 1
-            return view.weight(lo, hi, g, val)
+        def weight(lo, hi, val):
+            weigh, vs = view.weight(lo, hi, val), products[-1]
+            gaps[lo, hi, vs] += 1
+
+            def counted(g):
+                asked[lo, hi, vs, g] += 1
+                return weigh(g)
+
+            return counted
 
         counted = view._replace(weight=weight)
         boolean_intervals = 0
         for c in compositions(m.r, m.n):
             vs = composition_to_indices(c)
             asked.clear()
+            gaps.clear()
             memo = {}
             got = traced_deg(counted, memo, 0, full, vs)
             assert asked == windowed(m, memo), (conv, c)
+            assert gaps == Counter(memo.keys()), (conv, c)
             assert got == sum(expansion._expand(m, vs, conv, scale).values()), (conv, c)
             if m.m == 6 and vs in ((1, 1), (1, 2)):
                 # by hand: the 6 points have size 1 and the lines sizes 2 and 3.
@@ -498,8 +577,10 @@ def test_dp_asks_weights_only_inside_each_size_window(m, monkeypatch):
                 else:
                     assert top == sorted(points + (0b111, 0b111000)) and len(top) == 8
             asked.clear()
+            gaps.clear()
             memo = {}
             assert traced_deg(delegating._replace(weight=weight), memo, 0, full, vs) == got, (conv, c)
             assert not [key for key in asked if is_boolean(m, *key[:2])], (conv, c)
+            assert not [key for key in gaps if is_boolean(m, *key[:2])], (conv, c)
             boolean_intervals += sum(is_boolean(m, lo, hi) for lo, hi, _ in memo)
         assert boolean_intervals  # the B_R view answered some
