@@ -139,9 +139,9 @@ class Matroid:
     build_* constructors and the minor methods, which supply the table.
 
     A matroid never changes, so it memoises its degree engines, the intervals
-    they come back to, and its minors; a minor asked again, after its
-    arguments are checked, is the same object, and minors with the same
-    lattice share one child.
+    they come back to, what its relation pipelines learn about it, and its
+    minors; a minor asked again, after its arguments are checked, is the
+    same object, and minors with the same lattice share one child.
     """
 
     def __init__(self, m: int, step: dict, provenance: str = ""):
@@ -178,6 +178,18 @@ class Matroid:
         # convention -> {(canonical_key(), v, s): C(v, s)} over the minors that
         # recursion.deletion_contraction_degree reached from this matroid
         self._delcon = {}
+        # element i -> (|cl(i)|, the contraction of cl(i), whether i is a
+        # coloop): the pivot step of recursion._dc_step, set by its first
+        # call (None until then: a matroid no relation reaches allocates
+        # nothing), at most m entries
+        self._pivots = None
+        # (groups, sums) of recursion.eulerian_recursion_degree, set by its
+        # first call: groups maps (child, shift) to the rank-1 flats with that
+        # contraction and size and the corank-1 flats with that restriction
+        # (shift 0), at most one group per flat; sums maps each (convention,
+        # val) asked to (child, shift, summed weight in gamma_val) of the
+        # groups whose weights do not cancel, at most 2n keys
+        self._eulerian = None
         # (T_M(1, y), the Boolean matroid of the same rank) of
         # recursion.cv_via_tutte_convolution, set by its first call; the
         # Boolean keeps its own degree memo warm across calls
@@ -498,6 +510,8 @@ def _from_rank_oracle(m: int, rank_fn, provenance: str) -> Matroid:
 
 def build_uniform(rank: int, n_plus_1: int) -> Matroid:
     """Uniform matroid: every subset of size up to `rank` is independent."""
+    if n_plus_1 < 1:
+        raise RankOutOfRange(f"uniform matroid on {n_plus_1} elements needs at least 1 element")
     if not 1 <= rank <= n_plus_1:
         raise RankOutOfRange(f"uniform rank {rank} needs 1 <= rank <= {n_plus_1}")
     full = (1 << n_plus_1) - 1

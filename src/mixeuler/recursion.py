@@ -16,8 +16,13 @@ other:
 
 Minors come from the parent's memo (Matroid.minor_interval, delete_element):
 a repeated call, or a sibling minor with the same lattice, reuses a child
-whose degree memo is already warm. Deletion/contraction also keeps C(v, s)
-of every minor it reached on the matroid a call starts from (Matroid._delcon),
+whose degree memo is already warm. Each relation keeps its structure on the
+matroid, so a call only sums weights and asks degrees. The Eulerian relation
+groups its flats by child and index shift once (Matroid._eulerian), sums
+each group's insertion weights the first time a class index is asked, and
+asks each group's child one degree. Deletion/contraction keeps each pivot's
+closure size, contraction and coloop flag (Matroid._pivots), and C(v, s) of
+every minor it reached on the matroid a call starts from (Matroid._delcon),
 one memo per convention, so the next call recurses only into minors, vectors
 and s it has not met.
 
@@ -31,7 +36,13 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import PreconditionViolation, RankTooSmall, VOutOfRange
-from .expansion import _unscale, gamma_product_degree, insertion_weight, weight_scale
+from .expansion import (
+    _check_convention,
+    _unscale,
+    gamma_product_degree,
+    insertion_weight,
+    weight_scale,
+)
 from .matroid import Matroid
 from .polynomials import UniPoly
 from .tutte import tutte_polynomial
@@ -113,22 +124,40 @@ def eulerian_recursion_degree(
         raise PreconditionViolation("index vector is not flatly contiguous")
     val = vs[j - 1]
     rest = vs[: j - 1] + vs[j:]
-    full = matroid.full_mask
-    scale = weight_scale(matroid.m, convention)
     total = 0
-    for flat in matroid.flats_by_rank[1]:
-        wt = insertion_weight(0, full, flat, val, convention, scale)
-        if wt:
-            child, _ = matroid.contraction(flat)
-            size = flat.bit_count()
-            shifted = tuple(x - size for x in rest)
-            total += wt * c_degree(child, shifted, 0, convention)
-    for flat in matroid.flats_by_rank[r]:
-        wt = insertion_weight(0, full, flat, val, convention, scale)
-        if wt:
-            child, _ = matroid.restriction(flat)
-            total += wt * c_degree(child, rest, 0, convention)
-    return _unscale(total, scale, "relation sum")
+    for child, shift, wt in _eulerian_terms(matroid, val, convention):
+        total += wt * c_degree(child, tuple(x - shift for x in rest), 0, convention)
+    return _unscale(total, weight_scale(matroid.m, convention), "relation sum")
+
+
+def _eulerian_terms(matroid: Matroid, val: int, convention: str):
+    """(child, shift, summed weight) of each group of the relation's flats
+    whose weights in gamma_val do not cancel.
+
+    A rank-1 flat F enters the contraction with every index shifted down by
+    |F|, a corank-1 flat the restriction with no shift; flats with the same
+    child and shift share one degree, so they are grouped once per matroid,
+    and each group's weights are summed once per convention and val.
+    """
+    if matroid._eulerian is None:
+        groups = {}
+        for flat in matroid.flats_by_rank[1]:
+            groups.setdefault((matroid.contraction(flat)[0], flat.bit_count()), []).append(flat)
+        for flat in matroid.flats_by_rank[matroid.r]:
+            groups.setdefault((matroid.restriction(flat)[0], 0), []).append(flat)
+        matroid._eulerian = (groups, {})
+    groups, sums = matroid._eulerian
+    got = sums.get((convention, val))
+    if got is None:
+        _check_convention(convention)  # c_degree's error, before a bad convention keys a sum
+        full = matroid.full_mask
+        scale = weight_scale(matroid.m, convention)
+        got = sums[convention, val] = tuple(
+            (child, shift, wt)
+            for (child, shift), flats in groups.items()
+            if (wt := sum(insertion_weight(0, full, f, val, convention, scale) for f in flats))
+        )
+    return got
 
 
 def _dc_applicable(matroid: Matroid, vs, s: int) -> bool:
@@ -147,7 +176,7 @@ def _dc_applicable(matroid: Matroid, vs, s: int) -> bool:
 
 def _dc_eval(matroid: Matroid, vs, s: int, convention: str, memo: dict) -> int:
     vs = tuple(sorted(vs))
-    if any(x < 1 or x > matroid.n for x in vs) or len(vs) != matroid.r - s:
+    if len(vs) != matroid.r - s or vs and (vs[0] < 1 or vs[-1] > matroid.n):
         return 0
     key = (matroid.canonical_key(), vs, s)
     hit = memo.get(key)
@@ -164,10 +193,15 @@ def _dc_eval(matroid: Matroid, vs, s: int, convention: str, memo: dict) -> int:
 def _dc_step(
     matroid: Matroid, vs, s: int, i: int, convention: str, memo: dict
 ) -> int:
-    flat = matroid.closure(1 << i)
-    p = flat.bit_count()
-    contracted, _ = matroid.contraction(flat)
-    coloop = matroid.is_coloop(i)
+    if matroid._pivots is None:
+        matroid._pivots = {}
+    pivot = matroid._pivots.get(i)
+    if pivot is None:
+        flat = matroid.closure(1 << i)
+        pivot = matroid._pivots[i] = (
+            flat.bit_count(), matroid.contraction(flat)[0], matroid.is_coloop(i)
+        )
+    p, contracted, coloop = pivot
     total = 0
     if coloop:
         if s > 0:

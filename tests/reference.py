@@ -18,14 +18,22 @@ The remixed Eulerian numbers come from the degree DP's rank view;
 remixed_by_exchange solves their defining linear system instead.
 Localization reaches a gamma product's lambda monomials by changing basis
 one index at a time; localization_walk visits every lambda-exponent vector
-the composition allows and weighs it by binomials.
+the composition allows and weighs it by binomials. The repeat-entry
+relation asks one degree per group of flats with the same child;
+eulerian_per_flat asks one for every flat of nonzero weight.
 """
 
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from mixeuler.expansion import _find_gap, compositions, insertion_weight
+from mixeuler.expansion import (
+    _find_gap,
+    compositions,
+    gamma_product_degree,
+    insertion_weight,
+    weight_scale,
+)
 from mixeuler.localization import lambda_monomial_degree
 from mixeuler.trees import PostnikovTree, tree_weight
 
@@ -152,6 +160,32 @@ def localization_walk(matroid, c) -> int:
         w * lambda_monomial_degree(matroid, d + (matroid.r - placed,))
         for d, placed, w in walks
     )
+
+
+def eulerian_per_flat(matroid, vs, j, convention) -> int:
+    """recursion.eulerian_recursion_degree(matroid, vs, j, convention) for vs
+    in its domain, summed flat by flat: the weight of each rank-1 flat F in
+    gamma_{vs_j} times the degree of its contraction at the other entries
+    shifted down by |F|, plus the weight of each corank-1 flat times the
+    degree of its restriction at the other entries."""
+    val, rest = vs[j - 1], vs[: j - 1] + vs[j:]
+    full = matroid.full_mask
+    scale = weight_scale(matroid.m, convention)
+    total = 0
+    for flat in matroid.flats_by_rank[1]:
+        wt = insertion_weight(0, full, flat, val, convention, scale)
+        if wt:
+            child, _ = matroid.contraction(flat)
+            shifted = tuple(x - flat.bit_count() for x in rest)
+            total += wt * gamma_product_degree(child, shifted, convention)
+    for flat in matroid.flats_by_rank[matroid.r]:
+        wt = insertion_weight(0, full, flat, val, convention, scale)
+        if wt:
+            child, _ = matroid.restriction(flat)
+            total += wt * gamma_product_degree(child, rest, convention)
+    quotient, remainder = divmod(total, scale)
+    assert not remainder, (vs, j, convention)
+    return quotient
 
 
 def expand_unpruned(matroid, vs, convention, scale) -> dict:

@@ -185,6 +185,14 @@ class TestDegree:
         with pytest.raises(RankOutOfRange):
             parse_matroid_spec("boolean:0").build()
 
+    @pytest.mark.parametrize("spec", ["uniform:0,0", "uniform:2,0"])
+    def test_uniform_on_no_elements_exits_one(self, capsys, spec):
+        code, out, err = run_cli(capsys, "degree", "--matroid", spec, "--c=")
+        assert (code, out) == (1, "")
+        assert err == "error: uniform matroid on 0 elements needs at least 1 element\n"
+        with pytest.raises(RankOutOfRange):
+            parse_matroid_spec(spec).build()
+
     def test_empty_composition_needs_n_zero(self, capsys):
         code, _, err = run_cli(capsys, "degree", "--matroid", "boolean:3", "--c=")
         assert code == 1

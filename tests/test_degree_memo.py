@@ -1,14 +1,19 @@
 """The auto engine's memo, kept on its matroid and shared by every degree
-query, and the tables the flag oracle and deletion/contraction keep beside it."""
+query, and the tables the flag oracle and the relations keep beside it."""
 
 import gc
 import random
 import weakref
-from itertools import cycle, islice
+from itertools import combinations, cycle, islice
 
 import pytest
 
-from mixeuler import build_projective_geometry, build_sparse_paving, build_uniform
+from mixeuler import (
+    build_from_bases,
+    build_projective_geometry,
+    build_sparse_paving,
+    build_uniform,
+)
 from mixeuler.catalog import named_catalog
 from mixeuler.expansion import (
     CONVENTIONS,
@@ -19,7 +24,11 @@ from mixeuler.expansion import (
     pvol,
 )
 from mixeuler.matroid import Matroid
-from mixeuler.recursion import classify_support, deletion_contraction_degree
+from mixeuler.recursion import (
+    classify_support,
+    deletion_contraction_degree,
+    eulerian_recursion_degree,
+)
 from mixeuler.trees import enumerate_trees
 
 from reference import flats_between_scan
@@ -117,8 +126,12 @@ def test_oracle_tables_die_without_the_cycle_collector(make):
                 vs = composition_to_indices(c)
                 expand_gamma_product(m, vs, conv)
                 enumerate_trees(m, vs[::-1], conv)
-                if classify_support(m, vs).contiguous:
+                support = classify_support(m, vs)
+                if support.contiguous:
                     deletion_contraction_degree(m, vs, 0, 0, conv)
+                if support.flatly_contiguous:
+                    for j in repeats(vs):
+                        eulerian_recursion_degree(m, vs, j, conv)
 
     fill(make())  # warm-up: imports what the oracles use
     gc.collect()
@@ -128,12 +141,61 @@ def test_oracle_tables_die_without_the_cycle_collector(make):
         fill(m)
         assert m._gap_weights
         assert set(m._delcon) == set(CONVENTIONS) and all(m._delcon.values())
+        assert m._pivots and all(m._eulerian)
         alive = weakref.ref(m)
         del m
         assert alive() is None
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def repeats(vs):
+    """The 1-based positions of the entries of vs that occur more than once."""
+    return [j for j, x in enumerate(vs, 1) if vs.count(x) >= 2]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_projective_geometry(2, 2),
+        lambda: seeded_sparse_paving(8, 4, 20241101),
+        lambda: build_from_bases(5, [b for b in combinations(range(5), 3) if b[1:] != (3, 4)]),
+    ],
+    ids=["pg:2,2", "sparse paving on 8", "U(3,4) with a parallel element"],
+)
+def test_relation_stores_hold_one_entry_per_group_val_and_pivot(make):
+    m = make()
+    rng = random.Random(f"stores-{m!r}")
+    asked, pivoted = set(), set()
+    for c in compositions(m.r, m.n):
+        vs = composition_to_indices(c)
+        support = classify_support(m, vs)
+        convention = rng.choice(CONVENTIONS)
+        if support.flatly_contiguous:
+            for j in repeats(vs):
+                eulerian_recursion_degree(m, vs, j, convention)
+                asked.add((convention, vs[j - 1]))
+        if support.contiguous:
+            i = rng.randrange(m.m)
+            deletion_contraction_degree(m, vs, 0, i, convention)
+            pivoted.add(i)
+    groups, sums = m._eulerian
+    # one group per distinct (child, shift), the flats partitioned among them
+    rank_one, corank_one = m.flats_by_rank[1], m.flats_by_rank[m.r]
+    assert set(groups) == {(m.contraction(f)[0], f.bit_count()) for f in rank_one} | {
+        (m.restriction(f)[0], 0) for f in corank_one
+    }
+    assert sorted(f for flats in groups.values() for f in flats) == sorted(rank_one + corank_one)
+    assert len(groups) < len(rank_one) + len(corank_one)
+    # summed weights for the vals asked alone, each term a group that does not cancel
+    assert set(sums) == asked
+    assert all((child, shift) in groups and wt for terms in sums.values() for child, shift, wt in terms)
+    # one pivot step per element pivoted at; the children pivot at element 0
+    assert set(m._pivots) == pivoted
+    children = [got for got in m._minors.values() if isinstance(got, Matroid)]
+    assert any(child._pivots for child in children)
+    assert all(set(child._pivots or ()) <= {0} for child in children)
 
 
 @pytest.mark.parametrize(

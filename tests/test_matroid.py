@@ -57,6 +57,15 @@ def test_boolean_is_uniform_on_full_rank():
     assert b.rank(mask_of([0, 1, 2, 3])) == 4
 
 
+def test_uniform_on_no_elements_names_the_ground_set():
+    # the empty ground set has its own message, as build_boolean's
+    for rank in (0, 2):
+        with pytest.raises(RankOutOfRange, match="^uniform matroid on 0 elements needs"):
+            build_uniform(rank, 0)
+    with pytest.raises(RankOutOfRange, match="^uniform rank 0 needs 1 <= rank <= 3$"):
+        build_uniform(0, 3)
+
+
 def test_rank_and_closure_walks():
     m = build_uniform(3, 6)
     s = mask_of([0, 4])

@@ -30,8 +30,11 @@ from mixeuler.recursion import (
     eulerian_recursion_degree,
     two_block_degree,
 )
+from mixeuler.catalog import named_catalog
 from mixeuler.tutte import tutte_polynomial
 
+from reference import eulerian_per_flat
+from seeded import SPARSE_PAVING_SEEDS, random_sparse_paving
 from test_matroid import SMALL_CATALOG, fresh
 
 FANO_LINES = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
@@ -150,6 +153,31 @@ def test_eulerian_sweep_matches_oracle(convention):
             for j in reps:
                 got = eulerian_recursion_degree(m, v, j, convention=convention)
                 assert got == want, (name, v, j)
+
+
+EULERIAN_MATROIDS = {
+    **named_catalog(),
+    "parallel": build_parallel(),  # rank-1 flats of two sizes
+    **{f"sparse{seed}": random_sparse_paving(seed) for seed in SPARSE_PAVING_SEEDS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EULERIAN_MATROIDS))
+def test_eulerian_groups_match_the_per_flat_sum(name):
+    # every repeated position of every vector in the relation's domain, under
+    # both conventions, on one matroid that keeps its groups across the calls
+    shared, oracle = fresh(EULERIAN_MATROIDS[name]), fresh(EULERIAN_MATROIDS[name])
+    r, n = shared.r, shared.n
+    asked = 0
+    for v in itertools.combinations_with_replacement(range(1, n + 1), r):
+        if not v or not classify_support(shared, v).flatly_contiguous:
+            continue
+        for j in (j for j in range(1, r + 1) if v.count(v[j - 1]) >= 2):
+            asked += 1
+            for convention in CONVENTIONS:
+                want = eulerian_per_flat(oracle, v, j, convention)
+                assert eulerian_recursion_degree(shared, v, j, convention) == want, (v, j)
+    assert bool(asked) == (r >= 2) == (shared._eulerian is not None), asked
 
 
 # ---------------------------------------------------------------------------
