@@ -23,10 +23,7 @@ _EXPORTS = {
         "log_concavity_check", "mixed_eulerian_degree", "pvol", "weight_scale",
     ),
     "localization": (
-        "MAX_GROUND_SET", "DescentTarget", "PermutationEval",
-        "descent_rule_value", "descent_target", "gamma_class_vector",
-        "gamma_degree_via_localization", "lambda_monomial_degree",
-        "lambda_restriction_vector", "perm_flag_and_basis", "series_constant_term",
+        "MAX_GROUND_SET", "gamma_degree_via_localization", "lambda_monomial_degree",
     ),
     "matroid": (
         "Matroid", "MinorMap", "bits_of", "build_boolean", "build_from_bases",
@@ -35,14 +32,14 @@ _EXPORTS = {
     ),
     "matroid_json": ("load_matroid", "matroid_from_document"),
     "pmd": (
-        "PmdProfile", "lopsided_degree", "pg_identity_check", "pmd_profile",
-        "pmd_recurrence_check", "remixed_eulerian_eval", "remixed_polynomial",
+        "PmdProfile", "lopsided_degree", "pmd_profile", "pmd_recurrence_check",
+        "remixed_eulerian_eval", "remixed_polynomial",
     ),
     "polynomials": ("PolyXY", "UniPoly"),
     "recursion": (
         "SupportClass", "c_degree", "classify_support", "cv_polynomial",
         "cv_via_tutte_convolution", "deletion_contraction_degree",
-        "eulerian_recursion_degree", "two_block_degree",
+        "eulerian_recursion_degree",
     ),
     "trees": ("PostnikovTree", "aggregate_by_flag", "enumerate_trees", "tree_weight"),
     "tutte": ("CharData", "characteristic_data", "tutte_polynomial"),

@@ -33,39 +33,24 @@ r into n parts, so over the |C| compositions it holds at most (n + 1)|C|
 entries, and a sweep of all of them costs O(|C| (n + r)) terms. Table and
 memo live on the matroid (`Matroid._localization`) and die with it.
 
-The per-permutation constant-term lemma behind this is also implemented
-directly (`series_constant_term`) by eliminating xi_{w(0)}, ..., xi_{w(n)}
-one variable at a time in the Laurent-series ring that allows dividing by
-xi_a - xi_b in the direction of the smaller index; it is compared against
-the bare descent rule in tests.
+The per-permutation constant-term lemma behind this, the per-permutation
+flag and descent target, and the lambda restriction vectors are implemented
+directly in `tests/reference.py`, where the tests check the table against
+them.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import accumulate
 from math import comb
 
-from .errors import (
-    ExponentMismatch,
-    InternalError,
-    PreconditionViolation,
-    SizeViolation,
-)
+from .errors import ExponentMismatch, InternalError, SizeViolation
 from .expansion import check_composition, gamma_product_degree
 from .matroid import Matroid, build_uniform
 
 __all__ = [
-    "PermutationEval",
-    "DescentTarget",
-    "perm_flag_and_basis",
-    "descent_target",
     "lambda_monomial_degree",
     "gamma_degree_via_localization",
-    "lambda_restriction_vector",
-    "gamma_class_vector",
-    "series_constant_term",
-    "descent_rule_value",
     "MAX_GROUND_SET",
 ]
 
@@ -73,73 +58,6 @@ __all__ = [
 # pairs, times the tallies each keeps, one per (jump mask, descent mask)
 # reached: about 26k tally updates at 8 elements, and 4x more per element
 MAX_GROUND_SET = 8
-
-
-class PermutationEval(namedtuple("PermutationEval", "w flag k_set descents")):
-    """Flag data of one permutation: images, prefix-closure flag, jump set.
-
-    w holds the images; flag the closures, empty set through the full ground
-    set; k_set the positions where the prefix closure grows (k_set[0] == 0);
-    descents the frozenset of positions i with w(i) > w(i+1).
-    """
-
-    __slots__ = ()
-
-    @property
-    def basis_mask(self) -> int:
-        out = 0
-        for pos in self.k_set:
-            out |= 1 << self.w[pos]
-        return out
-
-
-class DescentTarget(namedtuple("DescentTarget", "indices")):
-    """The descent set, as a frozenset of positions, a permutation must have."""
-
-    __slots__ = ()
-
-
-def perm_flag_and_basis(matroid: Matroid, w) -> PermutationEval:
-    """Prefix-closure flag, jump positions, and descents of one permutation."""
-    ws = tuple(w)
-    if sorted(ws) != list(range(matroid.m)):
-        raise PreconditionViolation(
-            f"need a permutation of 0..{matroid.m - 1}, got {ws}"
-        )
-    flag = [0]
-    k_set = []
-    mask = 0
-    current = 0
-    for pos, img in enumerate(ws):
-        mask |= 1 << img
-        nxt = matroid.closure(mask)
-        if nxt != current:
-            k_set.append(pos)
-            flag.append(nxt)
-            current = nxt
-    descents = frozenset(
-        i for i in range(matroid.n) if ws[i] > ws[i + 1]
-    )
-    return PermutationEval(ws, tuple(flag), tuple(k_set), descents)
-
-
-def descent_target(d, k_set) -> DescentTarget:
-    """Descent set a permutation with jump set k_set must have for exponents d.
-
-    The exponent vector gains 1 at every position outside k_set; the target
-    collects the positions (strictly below the last) where the running sum
-    stays under the count of terms so far.
-    """
-    ds = tuple(d)
-    n = len(ds) - 1
-    kset = frozenset(k_set)
-    prefix = 0
-    out = []
-    for i in range(n):
-        prefix += ds[i] + (0 if i in kset else 1)
-        if prefix < i + 1:
-            out.append(i)
-    return DescentTarget(frozenset(out))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +131,9 @@ def _prefix_sums(d) -> tuple:
 
 
 def _target_mask(prefix, counts) -> int:
-    """descent_target as a bitmask, from the exponents' prefix sums and
-    the jump counts of the jump set: position i is in the target when
-    prefix[i] < counts[i]."""
+    """The descent target of the exponents and jump set, written out in
+    `tests/reference.py`, as a bitmask from the exponents' prefix sums and
+    the jump counts: position i is in the target when prefix[i] < counts[i]."""
     out = 0
     for i, (p, k) in enumerate(zip(prefix, counts)):
         if p < k:
@@ -311,99 +229,3 @@ def gamma_degree_via_localization(matroid: Matroid, c) -> int:
     cs = check_composition(c, matroid.n, matroid.r)
     sign = _global_sign(matroid)
     return sign * _mixed_sum(_class_entry(matroid), 0, (0,) + cs)
-
-
-# ---------------------------------------------------------------------------
-# restriction vectors over flats
-
-def lambda_restriction_vector(matroid: Matroid, k: int) -> dict:
-    """Coefficients of lambda_k on the proper nonempty flats.
-
-    The piecewise-linear representative sends the indicator vector of F to
-    [|F| >= k+1] - [n in F], and a linear functional phi maps to
-    -sum phi(e_F) x_F.
-    """
-    if not 0 <= k <= matroid.n:
-        raise ExponentMismatch(f"class index {k} outside 0..{matroid.n}")
-    top = 1 << matroid.n
-    out = {}
-    for f in matroid.proper_flats():
-        val = (1 if f & top else 0) - (1 if f.bit_count() >= k + 1 else 0)
-        if val:
-            out[f] = val
-    return out
-
-
-def gamma_class_vector(matroid: Matroid, k: int) -> dict:
-    """Coefficients of gamma_k on the proper nonempty flats."""
-    from .matroid import largest_elements_mask
-
-    if not 1 <= k <= matroid.n:
-        raise ExponentMismatch(f"class index {k} outside 1..{matroid.n}")
-    t_mask = largest_elements_mask(matroid.full_mask, matroid.m - k)
-    out = {}
-    for f in matroid.proper_flats():
-        val = (f & t_mask).bit_count() - max(0, f.bit_count() - k)
-        if val:
-            out[f] = val
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the per-permutation constant term, expanded honestly
-
-def series_constant_term(w, c) -> int:
-    """Constant term of xi_w0^c_0 ... xi_wn^c_n / prod (xi_wi - xi_wi+1).
-
-    Expanded in the ring that admits xi_a^-1 xi_b for a < b: each factor
-    1/(xi_a - xi_b) becomes a geometric series in the variable with the
-    larger index, and variables are eliminated in the order xi_{w(0)},
-    xi_{w(1)}, ...; once a variable is retired only its exponent-zero slice
-    can reach the constant term.
-    """
-    ws = tuple(w)
-    cs = tuple(c)
-    n = len(ws) - 1
-    if len(cs) != n + 1:
-        raise ExponentMismatch(f"need {n + 1} exponents, got {len(cs)}")
-    if sum(cs) != n:
-        raise ExponentMismatch("exponents must sum to the number of steps")
-    # state: Laurent polynomial in the current variable, as exponent -> coeff
-    state = {cs[0]: 1}
-    for i in range(n):
-        ascent = ws[i] < ws[i + 1]
-        nxt: dict = {}
-        for e, coef in state.items():
-            if ascent:
-                # 1/(xi_cur - xi_next) = sum_k xi_cur^(-k-1) xi_next^k
-                # constant slice in xi_cur needs k = e - 1 >= 0
-                if e >= 1:
-                    ne = (e - 1) + cs[i + 1]
-                    nxt[ne] = nxt.get(ne, 0) + coef
-            else:
-                # 1/(xi_cur - xi_next) = -sum_k xi_cur^k xi_next^(-k-1)
-                # constant slice needs k = -e >= 0
-                if e <= 0:
-                    ne = (e - 1) + cs[i + 1]
-                    nxt[ne] = nxt.get(ne, 0) - coef
-        state = nxt
-        if not state:
-            return 0
-    return state.get(0, 0)
-
-
-def descent_rule_value(w, c) -> int:
-    """(-1)^des(w) when Des(w) equals the prefix-deficit set of c, else 0."""
-    ws = tuple(w)
-    cs = tuple(c)
-    n = len(ws) - 1
-    descents = {i for i in range(n) if ws[i] > ws[i + 1]}
-    prefix = 0
-    target = set()
-    for i in range(n):
-        prefix += cs[i]
-        if prefix < i + 1:
-            target.add(i)
-    if descents != target:
-        return 0
-    return -1 if len(descents) & 1 else 1

@@ -100,6 +100,10 @@ def load_matroid(path: str) -> Matroid:
             doc = json.load(handle)
     except OSError as exc:
         raise MatroidFileError(f"cannot read {path}: {exc}", "") from exc
+    except UnicodeDecodeError as exc:
+        raise MatroidFileError(f"not UTF-8 text: {exc}", "") from exc
     except json.JSONDecodeError as exc:
         raise MatroidFileError(f"invalid JSON: {exc}", "") from exc
+    except RecursionError as exc:
+        raise MatroidFileError("invalid JSON: arrays or objects nested too deeply", "") from exc
     return matroid_from_document(doc)

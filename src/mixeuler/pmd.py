@@ -33,7 +33,7 @@ from .expansion import (
     composition_to_indices,
     gamma_product_degree,
 )
-from .matroid import Matroid, build_projective_geometry, set_of
+from .matroid import Matroid, set_of
 from .polynomials import UniPoly
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "lopsided_degree",
     "remixed_polynomial",
     "remixed_eulerian_eval",
-    "pg_identity_check",
     "pmd_recurrence_check",
 ]
 
@@ -169,19 +168,3 @@ def pmd_recurrence_check(matroid: Matroid, c, i: int) -> bool:
     rhs = (n_ext[i] - n_ext[i - 1]) * moved_degree(i + 1)
     rhs += (n_ext[i + 1] - n_ext[i]) * moved_degree(i - 1)
     return lhs == rhs
-
-
-def pg_identity_check(r: int, q: int, c):
-    """Compare a projective-geometry degree with its q-Eulerian prediction.
-
-    Builds the rank r+1 geometry over the prime field of order q, computes
-    the degree of the product of gamma_{n_i}^{c_i} with n_i the rank-i flat
-    size, and checks it equals q^(r(r+1)/2) times the q-deformed Eulerian
-    number A_c(q). Returns (degree, prediction, equal).
-    """
-    geometry = build_projective_geometry(r, q)
-    cs = check_composition(c, r, r)
-    sizes = geometry.level_sizes()
-    lhs = gamma_product_degree(geometry, [sizes[k] for k in composition_to_indices(cs)])
-    rhs = q ** comb(r + 1, 2) * remixed_polynomial(r, cs)(q)
-    return lhs, rhs, lhs == rhs

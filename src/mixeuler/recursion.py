@@ -9,8 +9,6 @@ other:
 * deletion/contraction for contiguous sorted vectors, recursing through
   minors and falling back to the interval DP (gamma_product_degree's auto
   engine) whenever a child leaves the relation's domain;
-* a two-block splitting over the flats separating a low block (containing
-  index 1) from a high block (reaching the largest proper flat size);
 * the generating polynomial whose y^k coefficient shifts every index up by
   k, together with its Tutte convolution and factorization identities.
 
@@ -53,7 +51,6 @@ __all__ = [
     "c_degree",
     "eulerian_recursion_degree",
     "deletion_contraction_degree",
-    "two_block_degree",
     "cv_polynomial",
     "cv_via_tutte_convolution",
 ]
@@ -265,60 +262,6 @@ def deletion_contraction_degree(
         raise PreconditionViolation("s > 0 needs the vector to start at 1")
     memo = matroid._delcon.setdefault(convention, {})
     return _dc_step(matroid, vs, s, i, convention, memo)
-
-
-def two_block_degree(matroid: Matroid, v_block, w_block, convention: str = "oi") -> int:
-    """Degree of gamma_v gamma_w via the flats separating the two blocks.
-
-    v carries index 1, w reaches at least the largest proper flat size, the
-    supports are disjoint and each block is sorted flatly contiguous, with
-    total length r. The sum runs over flats of rank len(v) + 1: each
-    contributes its gamma_{w_1} weight times the restriction degree of v
-    times the contraction degree of the rest of w shifted down by the flat
-    size.
-    """
-    vs = tuple(v_block)
-    ws = tuple(w_block)
-    r = matroid.r
-    if not vs or not ws:
-        raise PreconditionViolation("both blocks must be nonempty")
-    if len(vs) + len(ws) != r:
-        raise PreconditionViolation(f"block lengths must sum to {r}")
-    if list(vs) != sorted(vs) or list(ws) != sorted(ws):
-        raise PreconditionViolation("blocks must be sorted ascending")
-    if any(x < 1 or x > matroid.n for x in vs + ws):
-        raise PreconditionViolation("block entries must lie in 1..n")
-    if set(vs) & set(ws):
-        raise PreconditionViolation("block supports must be disjoint")
-    if vs[0] != 1:
-        raise PreconditionViolation("low block must contain index 1")
-    if max(matroid.proper_flat_sizes()) > ws[-1]:
-        raise PreconditionViolation(
-            "largest proper flat size must not exceed the high block"
-        )
-    if not classify_support(matroid, vs).flatly_contiguous:
-        raise PreconditionViolation("low block is not flatly contiguous")
-    if not classify_support(matroid, ws).flatly_contiguous:
-        raise PreconditionViolation("high block is not flatly contiguous")
-    w1 = ws[0]
-    w_rest = ws[1:]
-    ell = len(vs)
-    full = matroid.full_mask
-    scale = weight_scale(matroid.m, convention)
-    total = 0
-    for flat in matroid.flats_by_rank[ell + 1]:
-        wt = insertion_weight(0, full, flat, w1, convention, scale)
-        if not wt:
-            continue
-        size = flat.bit_count()
-        lower, _ = matroid.restriction(flat)
-        upper, _ = matroid.contraction(flat)
-        inner = gamma_product_degree(lower, vs, convention)
-        if not inner:
-            continue
-        outer = c_degree(upper, tuple(x - size for x in w_rest), 0, convention)
-        total += wt * inner * outer
-    return _unscale(total, scale, "two-block sum")
 
 
 def cv_polynomial(matroid: Matroid, v, convention: str = "oi") -> UniPoly:

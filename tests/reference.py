@@ -21,20 +21,40 @@ one index at a time; localization_walk visits every lambda-exponent vector
 the composition allows and weighs it by binomials. The repeat-entry
 relation asks one degree per group of flats with the same child;
 eulerian_per_flat asks one for every flat of nonzero weight.
+
+The rest are references no pipeline calls. perm_flag_and_basis closes the
+prefixes of one permutation, giving its flag, jump positions and descents
+(a PermutationEval). descent_target is the descent set, as a DescentTarget,
+that a jump set and exponents ask of a permutation; localization's
+_target_mask is its bitmask. lambda_restriction_vector gives the
+coefficients of lambda_k on the proper flats. series_constant_term expands
+one permutation's fixed-point term as a Laurent series and reads its
+constant term. descent_rule_value is the bare descent rule that constant
+term obeys. two_block_degree evaluates a product through the flats that
+separate a low block of indices from a high one. pg_identity_check compares
+a degree on a built projective geometry with q^(r(r+1)/2) A_c(q).
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
+from mixeuler.errors import ExponentMismatch, PreconditionViolation
 from mixeuler.expansion import (
     _find_gap,
+    _unscale,
+    check_composition,
+    composition_to_indices,
     compositions,
     gamma_product_degree,
     insertion_weight,
     weight_scale,
 )
 from mixeuler.localization import lambda_monomial_degree
+from mixeuler.matroid import Matroid
+from mixeuler.pmd import remixed_polynomial
+from mixeuler.recursion import c_degree, classify_support
 from mixeuler.trees import PostnikovTree, tree_weight
 
 
@@ -332,3 +352,216 @@ def _solve_sparse(rows, ncols: int) -> dict:
                 acc -= v2 * values[c2]
         values[col] = acc
     return values
+
+
+class PermutationEval(namedtuple("PermutationEval", "w flag k_set descents")):
+    """Flag data of one permutation: images, prefix-closure flag, jump set.
+
+    w holds the images; flag the closures, empty set through the full ground
+    set; k_set the positions where the prefix closure grows (k_set[0] == 0);
+    descents the frozenset of positions i with w(i) > w(i+1).
+    """
+
+    __slots__ = ()
+
+    @property
+    def basis_mask(self) -> int:
+        out = 0
+        for pos in self.k_set:
+            out |= 1 << self.w[pos]
+        return out
+
+
+class DescentTarget(namedtuple("DescentTarget", "indices")):
+    """The descent set, as a frozenset of positions, a permutation must have."""
+
+    __slots__ = ()
+
+
+def perm_flag_and_basis(matroid: Matroid, w) -> PermutationEval:
+    """Prefix-closure flag, jump positions, and descents of one permutation."""
+    ws = tuple(w)
+    if sorted(ws) != list(range(matroid.m)):
+        raise PreconditionViolation(
+            f"need a permutation of 0..{matroid.m - 1}, got {ws}"
+        )
+    flag = [0]
+    k_set = []
+    mask = 0
+    current = 0
+    for pos, img in enumerate(ws):
+        mask |= 1 << img
+        nxt = matroid.closure(mask)
+        if nxt != current:
+            k_set.append(pos)
+            flag.append(nxt)
+            current = nxt
+    descents = frozenset(
+        i for i in range(matroid.n) if ws[i] > ws[i + 1]
+    )
+    return PermutationEval(ws, tuple(flag), tuple(k_set), descents)
+
+
+def descent_target(d, k_set) -> DescentTarget:
+    """Descent set a permutation with jump set k_set must have for exponents d.
+
+    The exponent vector gains 1 at every position outside k_set; the target
+    collects the positions (strictly below the last) where the running sum
+    stays under the count of terms so far.
+    """
+    ds = tuple(d)
+    n = len(ds) - 1
+    kset = frozenset(k_set)
+    prefix = 0
+    out = []
+    for i in range(n):
+        prefix += ds[i] + (0 if i in kset else 1)
+        if prefix < i + 1:
+            out.append(i)
+    return DescentTarget(frozenset(out))
+
+
+def lambda_restriction_vector(matroid: Matroid, k: int) -> dict:
+    """Coefficients of lambda_k on the proper nonempty flats.
+
+    The piecewise-linear representative sends the indicator vector of F to
+    [|F| >= k+1] - [n in F], and a linear functional phi maps to
+    -sum phi(e_F) x_F.
+    """
+    if not 0 <= k <= matroid.n:
+        raise ExponentMismatch(f"class index {k} outside 0..{matroid.n}")
+    top = 1 << matroid.n
+    out = {}
+    for f in matroid.proper_flats():
+        val = (1 if f & top else 0) - (1 if f.bit_count() >= k + 1 else 0)
+        if val:
+            out[f] = val
+    return out
+
+
+def series_constant_term(w, c) -> int:
+    """Constant term of xi_w0^c_0 ... xi_wn^c_n / prod (xi_wi - xi_wi+1).
+
+    Expanded in the ring that admits xi_a^-1 xi_b for a < b: each factor
+    1/(xi_a - xi_b) becomes a geometric series in the variable with the
+    larger index, and variables are eliminated in the order xi_{w(0)},
+    xi_{w(1)}, ...; once a variable is retired only its exponent-zero slice
+    can reach the constant term.
+    """
+    ws = tuple(w)
+    cs = tuple(c)
+    n = len(ws) - 1
+    if len(cs) != n + 1:
+        raise ExponentMismatch(f"need {n + 1} exponents, got {len(cs)}")
+    if sum(cs) != n:
+        raise ExponentMismatch("exponents must sum to the number of steps")
+    # state: Laurent polynomial in the current variable, as exponent -> coeff
+    state = {cs[0]: 1}
+    for i in range(n):
+        ascent = ws[i] < ws[i + 1]
+        nxt: dict = {}
+        for e, coef in state.items():
+            if ascent:
+                # 1/(xi_cur - xi_next) = sum_k xi_cur^(-k-1) xi_next^k
+                # constant slice in xi_cur needs k = e - 1 >= 0
+                if e >= 1:
+                    ne = (e - 1) + cs[i + 1]
+                    nxt[ne] = nxt.get(ne, 0) + coef
+            else:
+                # 1/(xi_cur - xi_next) = -sum_k xi_cur^k xi_next^(-k-1)
+                # constant slice needs k = -e >= 0
+                if e <= 0:
+                    ne = (e - 1) + cs[i + 1]
+                    nxt[ne] = nxt.get(ne, 0) - coef
+        state = nxt
+        if not state:
+            return 0
+    return state.get(0, 0)
+
+
+def descent_rule_value(w, c) -> int:
+    """(-1)^des(w) when Des(w) equals the prefix-deficit set of c, else 0."""
+    ws = tuple(w)
+    cs = tuple(c)
+    n = len(ws) - 1
+    descents = {i for i in range(n) if ws[i] > ws[i + 1]}
+    prefix = 0
+    target = set()
+    for i in range(n):
+        prefix += cs[i]
+        if prefix < i + 1:
+            target.add(i)
+    if descents != target:
+        return 0
+    return -1 if len(descents) & 1 else 1
+
+
+def two_block_degree(matroid: Matroid, v_block, w_block, convention: str = "oi") -> int:
+    """Degree of gamma_v gamma_w via the flats separating the two blocks.
+
+    v carries index 1, w reaches at least the largest proper flat size, the
+    supports are disjoint and each block is sorted flatly contiguous, with
+    total length r. The sum runs over flats of rank len(v) + 1: each
+    contributes its gamma_{w_1} weight times the restriction degree of v
+    times the contraction degree of the rest of w shifted down by the flat
+    size.
+    """
+    vs = tuple(v_block)
+    ws = tuple(w_block)
+    r = matroid.r
+    if not vs or not ws:
+        raise PreconditionViolation("both blocks must be nonempty")
+    if len(vs) + len(ws) != r:
+        raise PreconditionViolation(f"block lengths must sum to {r}")
+    if list(vs) != sorted(vs) or list(ws) != sorted(ws):
+        raise PreconditionViolation("blocks must be sorted ascending")
+    if any(x < 1 or x > matroid.n for x in vs + ws):
+        raise PreconditionViolation("block entries must lie in 1..n")
+    if set(vs) & set(ws):
+        raise PreconditionViolation("block supports must be disjoint")
+    if vs[0] != 1:
+        raise PreconditionViolation("low block must contain index 1")
+    if max(matroid.proper_flat_sizes()) > ws[-1]:
+        raise PreconditionViolation(
+            "largest proper flat size must not exceed the high block"
+        )
+    if not classify_support(matroid, vs).flatly_contiguous:
+        raise PreconditionViolation("low block is not flatly contiguous")
+    if not classify_support(matroid, ws).flatly_contiguous:
+        raise PreconditionViolation("high block is not flatly contiguous")
+    w1 = ws[0]
+    w_rest = ws[1:]
+    ell = len(vs)
+    full = matroid.full_mask
+    scale = weight_scale(matroid.m, convention)
+    total = 0
+    for flat in matroid.flats_by_rank[ell + 1]:
+        wt = insertion_weight(0, full, flat, w1, convention, scale)
+        if not wt:
+            continue
+        size = flat.bit_count()
+        lower, _ = matroid.restriction(flat)
+        upper, _ = matroid.contraction(flat)
+        inner = gamma_product_degree(lower, vs, convention)
+        if not inner:
+            continue
+        outer = c_degree(upper, tuple(x - size for x in w_rest), 0, convention)
+        total += wt * inner * outer
+    return _unscale(total, scale, "two-block sum")
+
+
+def pg_identity_check(geometry, q: int, c):
+    """Compare a projective-geometry degree with its q-Eulerian prediction.
+
+    geometry is build_projective_geometry(r, q), built once by the caller,
+    with r its geometry.r. Computes the degree of the product of
+    gamma_{n_i}^{c_i} with n_i the rank-i flat size, and checks it equals
+    q^(r(r+1)/2) times the q-deformed Eulerian number A_c(q). Returns
+    (degree, prediction, equal).
+    """
+    r = geometry.r
+    cs = check_composition(c, r, r)
+    sizes = geometry.level_sizes()
+    lhs = gamma_product_degree(geometry, [sizes[k] for k in composition_to_indices(cs)])
+    rhs = q ** comb(r + 1, 2) * remixed_polynomial(r, cs)(q)
+    return lhs, rhs, lhs == rhs

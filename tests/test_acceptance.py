@@ -22,12 +22,7 @@ from mixeuler.expansion import (
     mixed_eulerian_degree,
     pvol,
 )
-from mixeuler.localization import (
-    _global_sign,
-    descent_rule_value,
-    gamma_degree_via_localization,
-    series_constant_term,
-)
+from mixeuler.localization import _global_sign, gamma_degree_via_localization
 from mixeuler.matroid import (
     build_boolean,
     build_projective_geometry,
@@ -37,7 +32,6 @@ from mixeuler.matroid import (
 )
 from mixeuler.pmd import (
     lopsided_degree,
-    pg_identity_check,
     pmd_profile,
     pmd_recurrence_check,
     remixed_eulerian_eval,
@@ -50,10 +44,16 @@ from mixeuler.recursion import (
     cv_via_tutte_convolution,
     deletion_contraction_degree,
     eulerian_recursion_degree,
-    two_block_degree,
 )
 from mixeuler.trees import aggregate_by_flag, enumerate_trees
 from mixeuler.tutte import characteristic_data, tutte_polynomial
+
+from reference import (
+    descent_rule_value,
+    pg_identity_check,
+    series_constant_term,
+    two_block_degree,
+)
 
 
 def report(num: int, label: str, bad: list) -> None:
@@ -359,9 +359,10 @@ def test_criterion_10_size_perfect_suite():
         for cs in compositions(r, r):
             if remixed_eulerian_eval(r, cs, 1) != mixed_eulerian_degree(boolean, cs):
                 bad.append(("unit q", r, cs))
-    for r, q in ((2, 2), (2, 3), (3, 2)):
+    for geometry, q in zip(geometries, (2, 3, 2)):
+        r = geometry.r
         for cs in compositions(r, r):
-            lhs, rhs, ok = pg_identity_check(r, q, cs)
+            lhs, rhs, ok = pg_identity_check(geometry, q, cs)
             if not ok:
                 bad.append(("geometry identity", r, q, cs, lhs, rhs))
     report(10, "size-perfect closed forms, recurrence, and q-identities", bad)

@@ -490,6 +490,17 @@ class TestExitCodes:
         )
         assert code == 1 and "/x" in err
 
+    def test_malformed_files_exit_one_without_traceback(self, capsys, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{}")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        for path, cause in ((binary, "not UTF-8"), (deep, "nested too deeply")):
+            code, out, err = run_cli(capsys, "pvol", "--matroid", f"file:{path}")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and cause in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_file_matroid_computes(self, capsys, tmp_path):
         path = tmp_path / "u24.json"
         path.write_text(U24_DOC)

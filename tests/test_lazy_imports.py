@@ -128,8 +128,6 @@ RECORDS = {
     "matroid.MinorMap": ("parent_elements", "rank_dropped"),
     "expansion.WeightedFlagSum": ("matroid", "convention", "terms"),
     "expansion.LogConcavityResult": ("middle", "left", "right"),
-    "localization.PermutationEval": ("w", "flag", "k_set", "descents"),
-    "localization.DescentTarget": ("indices",),
     "pmd.PmdProfile": ("n_seq", "N_seq", "V_M"),
     "recursion.SupportClass": ("contiguous", "flatly_contiguous", "interval"),
     "trees.PostnikovTree": ("labels", "flats", "parent", "side"),

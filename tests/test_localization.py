@@ -21,20 +21,24 @@ from mixeuler.errors import (
     PreconditionViolation,
     SizeViolation,
 )
-from mixeuler.expansion import compositions, gamma_product_degree, mixed_eulerian_degree
+from mixeuler.expansion import (
+    compositions,
+    gamma_product_degree,
+    insertion_weight,
+    mixed_eulerian_degree,
+)
 from mixeuler.catalog import named_catalog
-from mixeuler.localization import (
+from mixeuler.localization import gamma_degree_via_localization, lambda_monomial_degree
+
+from reference import (
     descent_rule_value,
     descent_target,
-    gamma_class_vector,
-    gamma_degree_via_localization,
-    lambda_monomial_degree,
     lambda_restriction_vector,
+    localization_walk,
+    perm_classes_walk,
     perm_flag_and_basis,
     series_constant_term,
 )
-
-from reference import localization_walk, perm_classes_walk
 from seeded import seeded_sparse_paving
 
 FANO_LINES = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
@@ -349,9 +353,15 @@ def test_top_class_power_adds_one_entry(build):
 # restriction vectors
 
 
+def gamma_weights(m, k):
+    # the nonzero oi weights of gamma_k on the proper flats, unscaled
+    full = m.full_mask
+    return {f: w for f in m.proper_flats() if (w := insertion_weight(0, full, f, k, "oi", 1))}
+
+
 def test_lambda_top_equals_gamma_top():
     for m in [build_uniform(3, 5), build_fano()]:
-        assert lambda_restriction_vector(m, m.n) == gamma_class_vector(m, m.n)
+        assert lambda_restriction_vector(m, m.n) == gamma_weights(m, m.n)
 
 
 def test_lambda_minus_top_marks_large_flats():
@@ -370,8 +380,8 @@ def test_lambda_equals_gamma_difference_up_to_linear_relation():
         top = 1 << m.n
         for k in range(1, m.n):
             lam = lambda_restriction_vector(m, k)
-            gk = gamma_class_vector(m, k)
-            gk1 = gamma_class_vector(m, k + 1)
+            gk = gamma_weights(m, k)
+            gk1 = gamma_weights(m, k + 1)
             for f in m.proper_flats():
                 lhs = lam.get(f, 0) - (gk.get(f, 0) - gk1.get(f, 0))
                 rel = (1 if f & top else 0) - (1 if f & (1 << k) else 0)
@@ -382,7 +392,7 @@ def test_gamma_vector_matches_flag_engine_for_single_class():
     # degree of one gamma_k in rank 2 is the total weight over rank-1 flats
     m = build_uniform(2, 4)
     for k in range(1, m.n + 1):
-        vec = gamma_class_vector(m, k)
+        vec = gamma_weights(m, k)
         total = sum(vec.get(f, 0) for f in m.flats_by_rank[1])
         assert total == gamma_product_degree(m, (k,))
 

@@ -94,3 +94,16 @@ class TestFiles:
         path.write_text("{oops")
         with pytest.raises(MatroidFileError, match="invalid JSON"):
             load_matroid(str(path))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'\xff\xfe{"ground_set_size": 4}')
+        with pytest.raises(MatroidFileError, match="not UTF-8"):
+            load_matroid(str(path))
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["unclosed", "closed"])
+    def test_nesting_too_deep(self, tmp_path, closed):
+        path = tmp_path / "m.json"
+        path.write_text("[" * 100_000 + "]" * (100_000 if closed else 0))
+        with pytest.raises(MatroidFileError, match="nested too deeply"):
+            load_matroid(str(path))

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from reference import remixed_by_exchange
+from reference import pg_identity_check, remixed_by_exchange
 
 from mixeuler import expansion
 from mixeuler.errors import (
@@ -25,10 +25,10 @@ from mixeuler.matroid import (
     build_sparse_paving,
     build_uniform,
 )
+from mixeuler.polynomials import UniPoly
 from mixeuler.pmd import (
     PmdProfile,
     lopsided_degree,
-    pg_identity_check,
     pmd_profile,
     pmd_recurrence_check,
     remixed_eulerian_eval,
@@ -241,6 +241,24 @@ class TestRemixed:
             assert 0 <= poly.degree <= math.comb(r, 2), (c, poly)
             assert all(isinstance(x, int) and x >= 0 for x in poly.coeffs), (c, poly)
 
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_whole_table_identities(self, r):
+        # Nadeau-Tewari: A_{rev c}(q) = q^C(r,2) A_c(1/q), the table sums to
+        # Cat_r [r]_q!, and at q = 1 to r! Cat_r, or to (r+1)^(r-1) once each
+        # A_c is divided by the product of the c_i!
+        table = {c: remixed_polynomial(r, c) for c in compositions(r, r)}
+        top = math.comb(r, 2)
+        for c, poly in table.items():
+            flipped = table[c[::-1]]
+            assert [flipped[k] for k in range(top + 1)] == [poly[top - k] for k in range(top + 1)], c
+        catalan = math.comb(2 * r, r) // (r + 1)
+        q_factorial = math.prod(UniPoly((1,) * i) for i in range(1, r + 1))
+        assert sum(table.values()) == catalan * q_factorial
+        at_one = {c: poly(1) for c, poly in table.items()}
+        assert sum(at_one.values()) == math.factorial(r) * catalan
+        weighted = sum(Fraction(v, math.prod(map(math.factorial, c))) for c, v in at_one.items())
+        assert weighted == (r + 1) ** (r - 1)
+
     def test_values_are_positive(self):
         for c in compositions(4, 4):
             assert remixed_eulerian_eval(4, c, Fraction(1, 2)) > 0
@@ -260,19 +278,21 @@ class TestRemixed:
 
 class TestProjectiveIdentity:
     def test_fano_plane_cases(self):
-        assert pg_identity_check(2, 2, (0, 2)) == (16, 16, True)
-        assert pg_identity_check(2, 2, (1, 1)) == (24, 24, True)
-        assert pg_identity_check(2, 2, (2, 0)) == (8, 8, True)
+        fano = build_projective_geometry(2, 2)
+        assert pg_identity_check(fano, 2, (0, 2)) == (16, 16, True)
+        assert pg_identity_check(fano, 2, (1, 1)) == (24, 24, True)
+        assert pg_identity_check(fano, 2, (2, 0)) == (8, 8, True)
 
     @pytest.mark.parametrize("r,q", [(2, 2), (2, 3), (3, 2), (2, 5), (3, 3), (4, 2)])
     def test_holds_across_all_exponents(self, r, q):
+        geometry = build_projective_geometry(r, q)
         for c in compositions(r, r):
-            lhs, rhs, ok = pg_identity_check(r, q, c)
+            lhs, rhs, ok = pg_identity_check(geometry, q, c)
             assert ok and lhs == rhs, (c, lhs, rhs)
 
     def test_nonprime_rejected(self):
         with pytest.raises(NonPrimeQ):
-            pg_identity_check(2, 4, (1, 1))
+            build_projective_geometry(2, 4)
 
     @pytest.mark.parametrize("r,q", [(2, 2), (2, 3), (3, 2), (2, 5), (3, 3), (4, 2)])
     def test_flat_view_degrees_match_the_exchange_solve(self, r, q, monkeypatch):

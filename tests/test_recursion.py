@@ -28,12 +28,11 @@ from mixeuler.recursion import (
     cv_via_tutte_convolution,
     deletion_contraction_degree,
     eulerian_recursion_degree,
-    two_block_degree,
 )
 from mixeuler.catalog import named_catalog
 from mixeuler.tutte import tutte_polynomial
 
-from reference import eulerian_per_flat
+from reference import eulerian_per_flat, two_block_degree
 from seeded import SPARSE_PAVING_SEEDS, random_sparse_paving
 from test_matroid import SMALL_CATALOG, fresh
 
