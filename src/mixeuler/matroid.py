@@ -129,6 +129,30 @@ class MinorMap(namedtuple("MinorMap", "parent_elements rank_dropped", defaults=(
         return out
 
 
+class _LatticeKey:
+    """A matroid's flats by rank as a dict key, with its hash taken once.
+
+    A tuple does not keep its hash, so a tuple key over the lattice would
+    rehash every flat on every lookup. Equal keys have equal flats by rank,
+    which fixes the ground set (the top flat) and the rank too. The key
+    holds the matroid's own flats_by_rank and one int.
+    """
+
+    __slots__ = ("flats_by_rank", "_hash")
+
+    def __init__(self, flats_by_rank: tuple):
+        self.flats_by_rank = flats_by_rank
+        self._hash = hash(flats_by_rank)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not _LatticeKey:
+            return NotImplemented
+        return self._hash == other._hash and self.flats_by_rank == other.flats_by_rank
+
+
 class Matroid:
     """A loopless matroid, stored as the cover table of its lattice of flats.
 
@@ -204,6 +228,7 @@ class Matroid:
         # a child holds no reference back to its parent
         self._minors = {}
         self._flat_sizes = None
+        self._canonical_key = None
 
     # -- lattice plumbing ------------------------------------------------
 
@@ -327,7 +352,14 @@ class Matroid:
         return sizes
 
     def canonical_key(self):
-        return (self.m, self.rank_total, self.flats_by_rank)
+        """The lattice of flats as a dict key, equal for equal lattices.
+
+        Made at the first call and kept: the memos of minors and of the
+        delcon pipeline look it up once per step, and it is hashed once.
+        """
+        if self._canonical_key is None:
+            self._canonical_key = _LatticeKey(self.flats_by_rank)
+        return self._canonical_key
 
     def proper_flat_sizes(self) -> tuple:
         """Sorted distinct sizes of nonempty proper flats."""

@@ -8,19 +8,28 @@ neighbors among earlier-inserted vertices (boundaries: empty set and ground
 set). Each tree contributes the product of its per-vertex insertion weights,
 in either the oi or mult convention, to the monomial of its image flag.
 
-Enumeration runs the flag expansion itself while recording where each flat
-lands in the chain; the insertion positions determine the tree uniquely
-(new vertex hangs off the more recently inserted of its two neighbors).
-Each gap's flats come from the flag expansion's table (expansion._entering),
+Enumeration grows the partial trees level by level, as the flag expansion
+grows flags (expansion._expand), each one only its chain of flats and its
+labels in search order: class v_i goes into the one gap of the chain its
+size fits, and the insertion positions determine the tree uniquely (the new
+vertex hangs off the more recently inserted of its two neighbors). Each
+gap's flats come from the flag expansion's table (expansion._entering),
 which drops two kinds of flat at once. One has insertion weight zero (oi
 only): its gap neighbors are the ones the finished tree assigns that vertex,
 so every tree grown from it would weigh zero. The other leaves a chain that
 can no longer finish: its size is a class still to insert, or, on a product
-of length r, the chain can no longer become maximal. Weights are still
-recomputed from each finished tree, not carried along, so the aggregation
-tests genuinely cross-check the expansion engine. tree_weight finds every
-vertex's insertion neighbors in one pass over the labels, keeping the
-search positions inserted so far sorted (_insertion_neighbors).
+of length r, the chain can no longer become maximal.
+
+Weights are not carried along the growth: each finished tree's weight is
+recomputed from its own labels and flats, as the product of insertion_weight
+over every vertex with its insertion neighbors, so the aggregation tests
+genuinely cross-check the expansion engine. A vertex's parent, side and
+insertion neighbors depend on the label order alone (_insertion_neighbors
+finds them in one pass over the labels), so a call works them out once per
+distinct label order, at most k! of them (_shape); and it computes each
+(lo, hi, flat, class) factor once, in a table that dies with the call.
+tree_weight is the same product with nothing kept, the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -29,10 +38,10 @@ from bisect import bisect
 from collections import namedtuple
 from fractions import Fraction
 
+from .errors import VOutOfRange
 from .expansion import (
     _check_convention,
     _entering,
-    _find_gap,
     _validate_product,
     insertion_weight,
     weight_scale,
@@ -99,18 +108,20 @@ class PostnikovTree(namedtuple("PostnikovTree", "labels flats parent side")):
 
 
 def tree_weight(matroid: Matroid, tree: PostnikovTree, v, convention: str = "oi"):
-    """Product of per-vertex insertion weights, from the tree data alone."""
+    """Product of per-vertex insertion weights, from the tree data alone.
+
+    v must hold one class per vertex; VOutOfRange otherwise.
+    """
     _check_convention(convention)
-    return _tree_weight(matroid, tree, v, convention, weight_scale(matroid.m, convention))
-
-
-def _tree_weight(matroid, tree, v, convention, scale):
-    """tree_weight, with the convention checked and its scale given."""
+    vs = tuple(v)
+    if len(vs) != tree.size:
+        raise VOutOfRange(f"v has {len(vs)} classes but the tree has {tree.size} vertices")
+    scale = weight_scale(matroid.m, convention)
     flats = tree.flats
     full = matroid.full_mask
     total = 1
     for t, (pos, left, right) in enumerate(_insertion_neighbors(tree.labels)):
-        val = v[t]
+        val = vs[t]
         lo = 0 if left is None else flats[left]
         hi = full if right is None else flats[right]
         if not lo.bit_count() < val < hi.bit_count():
@@ -139,6 +150,34 @@ def _insertion_neighbors(labels):
         placed.insert(j, pos)
 
 
+def _shape(labels, vs):
+    """(parent, side, steps) of every tree with these labels in search order.
+
+    The new vertex hangs off the more recently inserted of its insertion
+    neighbors. steps holds (left, pos, right, class) for labels 1, 2, ...:
+    the vertex and its insertion neighbors as indices into the chain padded
+    with the empty set and the ground set, where the boundaries are 0 and
+    len(labels) + 1.
+    """
+    parent, side, steps = [], [], []
+    end = len(labels) + 1
+    for val, (pos, left, right) in zip(vs, _insertion_neighbors(labels)):
+        left_lab = 0 if left is None else labels[left]
+        right_lab = 0 if right is None else labels[right]
+        if left_lab == 0 and right_lab == 0:
+            p, s = 0, "root"
+        elif left_lab > right_lab:
+            p, s = left_lab, "right"
+        else:
+            p, s = right_lab, "left"
+        parent.append(p)
+        side.append(s)
+        left = 0 if left is None else left + 1
+        right = end if right is None else right + 1
+        steps.append((left, pos + 1, right, val))
+    return tuple(parent), tuple(side), tuple(steps)
+
+
 def enumerate_trees(matroid: Matroid, v, convention: str = "oi"):
     """All compatible flat-filled trees for v with their nonzero weights.
 
@@ -147,46 +186,47 @@ def enumerate_trees(matroid: Matroid, v, convention: str = "oi"):
     _check_convention(convention)
     vs = tuple(v)
     _validate_product(matroid, vs)
-    out = []
     scale = weight_scale(matroid.m, convention)
-    _grow_trees(matroid, vs, convention, scale, {}, out, (), (), (), ())
+    full = matroid.full_mask
+    table = {}
+    # (chain padded with the empty set and the ground set, labels in search order)
+    partial = [((0, full), ())]
+    for i, val in enumerate(vs):
+        grown = []
+        label = (i + 1,)
+        for chain, labels in partial:
+            # no flat of the chain has size val (_entering drops such flats)
+            idx = bisect(chain, val, key=int.bit_count)
+            gap = _entering(matroid, table, chain[idx - 1], chain[idx], vs, i, convention, scale)
+            if gap:
+                before, after = chain[:idx], chain[idx:]
+                labels_g = labels[: idx - 1] + label + labels[idx - 1 :]
+                grown += [(before + (g,) + after, labels_g) for g, _ in gap]
+        partial = grown
+    shapes = {}  # labels -> _shape(labels, vs)
+    factors = {}  # (lo, hi, flat, class) -> its insertion weight, 0 off the gap
+    out = []
+    for chain, labels in partial:
+        shape = shapes.get(labels)
+        if shape is None:
+            shape = shapes[labels] = _shape(labels, vs)
+        parent, side, steps = shape
+        total = 1
+        for left, pos, right, val in steps:
+            key = (chain[left], chain[right], chain[pos], val)
+            w = factors.get(key)
+            if w is None:
+                lo, hi, g, _ = key
+                ok = lo.bit_count() < val < hi.bit_count()
+                w = factors[key] = insertion_weight(lo, hi, g, val, convention, scale) if ok else 0
+            total *= w
+            if not total:
+                break
+        else:
+            if convention == "mult":
+                total = Fraction(total, scale ** len(vs))
+            out.append((PostnikovTree(labels, chain[1:-1], parent, side), total))
     return out
-
-
-def _grow_trees(matroid, vs, convention, scale, table, out, chain, order, parent, side):
-    """Append to out every tree for vs that grows from a partial one.
-
-    The partial tree is its chain of flats, its labels in search order and
-    the parent and side of each label; table is the call's gap table for
-    expansion._entering. Module-level, as is _deg in expansion, so that no
-    call leaves a cycle.
-    """
-    depth = len(order)
-    if depth == len(vs):
-        tree = PostnikovTree(order, chain, parent, side)
-        w = _tree_weight(matroid, tree, vs, convention, scale)
-        if w:
-            out.append((tree, w))
-        return
-    idx = _find_gap(chain, vs[depth])
-    lo = chain[idx - 1] if idx else 0
-    hi = chain[idx] if idx < len(chain) else matroid.full_mask
-    label = depth + 1
-    # the new vertex hangs off the more recently inserted neighbor
-    left_lab = order[idx - 1] if idx else 0
-    right_lab = order[idx] if idx < len(order) else 0
-    if left_lab == 0 and right_lab == 0:
-        p, s = 0, "root"
-    elif left_lab > right_lab:
-        p, s = left_lab, "right"
-    else:
-        p, s = right_lab, "left"
-    for g, _ in _entering(matroid, table, lo, hi, vs, depth, convention, scale):
-        chain_g = chain[:idx] + (g,) + chain[idx:]
-        order_g = order[:idx] + (label,) + order[idx:]
-        _grow_trees(
-            matroid, vs, convention, scale, table, out, chain_g, order_g, parent + (p,), side + (s,)
-        )
 
 
 def aggregate_by_flag(terms):

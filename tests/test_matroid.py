@@ -130,6 +130,20 @@ def test_fano_as_sparse_paving_matches_pg22():
     assert a.canonical_key() == b.canonical_key()
 
 
+def test_canonical_key_is_made_once_and_compares_lattices():
+    m = build_uniform(3, 5)
+    key = m.canonical_key()
+    assert m.canonical_key() is key
+    assert key.flats_by_rank is m.flats_by_rank  # nothing the matroid does not hold
+    assert hash(key) == hash(m.flats_by_rank)
+    same = fresh(m).canonical_key()
+    assert same is not key and same == key and hash(same) == hash(key)
+    assert {key: 1}[same] == 1
+    for other in (build_uniform(2, 5), build_uniform(3, 6), build_boolean(3)):
+        assert other.canonical_key() != key
+    assert key != m.flats_by_rank and key != (m.m, m.rank_total, m.flats_by_rank)
+
+
 def test_from_bases_roundtrip_uniform():
     from itertools import combinations
 

@@ -124,6 +124,19 @@ def test_pruned_enumeration_matches_unpruned(name, convention):
         assert got == Counter(trees_unpruned(m, vs, convention)), c
 
 
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_pruned_enumeration_matches_unpruned_on_u58(convention):
+    # crosscheck's tree matroid: a seeded sample of its 210 compositions,
+    # each as the sorted product and in a shuffled order
+    m = build_uniform(5, 8)
+    rng = random.Random(f"u58-{convention}")
+    for c in rng.sample(list(compositions(m.r, m.n)), 12):
+        vs = composition_to_indices(c)
+        for order in (vs, tuple(rng.sample(vs, len(vs)))):
+            got = Counter(enumerate_trees(m, order, convention))
+            assert got == Counter(trees_unpruned(m, order, convention)), order
+
+
 def unpruned_terms(m, vs, convention):
     """expand_gamma_product(m, vs, convention).terms as the reference grows them."""
     scale = weight_scale(m.m, convention)
@@ -231,9 +244,19 @@ def test_compatibility_rejects_wrong_vector():
     assert not t0.is_compatible(m, (1,))
 
 
+def test_tree_weight_rejects_a_vector_of_the_wrong_length():
+    m = build_uniform(3, 5)
+    tree, w = enumerate_trees(m, (1, 2))[0]
+    assert tree_weight(m, tree, (1, 2)) == w
+    for v in [(1,), (1, 2, 3)]:
+        with pytest.raises(VOutOfRange, match=f"v has {len(v)} classes but the tree has 2 vertices"):
+            tree_weight(m, tree, v)
+
+
 def test_enumeration_leaves_no_cycle():
-    # the enumeration recurses through a module-level function, so the
-    # matroid dies at del without the cycle collector
+    # the enumeration grows its trees in loops and keeps its label orders and
+    # weights in dicts local to the call, with no closure, so the matroid
+    # dies at del without the cycle collector
     gc.collect()
     gc.disable()
     try:
