@@ -34,34 +34,32 @@ Engines:
   A full flag puts exactly a of the later classes v_2, v_3, ... below a G
   of rank rank(lo) + a + 1, so G can enter only when |G| lies strictly
   between the a-th and the (a+1)-th of them. The DP reads the flats of
-  each interval by rank, sorted by size, from the matroid's one interval
-  store (_levels), and bisects that window out of each rank (_window),
-  never visiting the flats outside it. It sets the gap (lo, hi) up for v_1
-  once per interval (_gap_weight: the oi top mask, the mult constants) and
-  calls the result on each flat of the windows. On perfect matroid designs
-  (projective geometries, uniform and Boolean matroids), where all flats
-  of one rank have one size, it walks ranks instead, weighting each rank
-  by the total weight of its flats in the interval, in closed form; that
-  view keeps each gap's weights, one per rank, in a memo of at most
-  R(R+1)/2 * n gaps (R the rank), which dies with the matroid. On
-  other matroids an interval [lo, hi] with rank(hi) - rank(lo) = |hi - lo|
-  is Boolean: every set between is a flat, and its degrees are Postnikov's
+  each interval by rank, sorted by size (_levels), and bisects that window
+  out of each rank (_window), never visiting the flats outside it. It sets
+  the gap (lo, hi) up for v_1 once per interval (_gap_weight: the oi top
+  mask, the mult constants) and calls the result on each flat of the
+  windows. On perfect matroid designs (projective geometries, uniform and
+  Boolean matroids), where all flats of one rank have one size, it walks
+  ranks instead, weighting each rank by the total weight of its flats in
+  the interval, in closed form; that view keeps each gap's weights, one
+  per rank, in a memo of at most R(R+1)/2 * n gaps (R the rank). On other
+  matroids an interval [lo, hi] with rank(hi) - rank(lo) = |hi - lo| is
+  Boolean: every set between is a flat, and its degrees are Postnikov's
   mixed Eulerian numbers, which depend on |hi - lo| alone. The flat view
   answers it on the rank view of the Boolean matroid B_R, R the rank, over
-  the ranks 0 and |hi - lo|, and reads none of its flats. The matroid owns
-  the memo on (lo, hi, vs), one per convention, next to the lattice view
-  the DP walks (and B_R's view with its memo): every auto query on one
-  matroid reuses the sub-interval degrees of the queries before it, and
-  all of them die with the matroid.
+  the ranks 0 and |hi - lo|, and reads none of its flats. The view and the
+  memo on (lo, hi, vs) are kept on the matroid, one per convention, so
+  every auto query on it reuses the sub-interval degrees of those before.
 * "flag", the term-by-term flag expansion above. It is the reference oracle
   the DP is tested against and the backend of expand_gamma_product. It drops
   a partial flag as soon as it must die: a flat whose size is a class still
   to insert (a hit), and, on a product of length r, where every surviving
   term is a maximal flag, a flat outside the DP's window of its rank, taken
-  over the classes left inside the gap. It reads the same interval store;
-  the matroid keeps the insertion weights of each gap and class for it,
-  apart from the DP's memo, and each call windows them in a table of its
-  own (_entering), which tree enumeration shares.
+  over the classes left inside the gap. It reads the same levels, and the
+  insertion weights of each gap and class, kept for it alone; each call
+  windows them in a table of its own (_entering), as tree enumeration does.
+  What the matroid keeps for either engine (_levels, _degree_memos,
+  _gap_weights) is declared, with its bound, in the table on Matroid.
 
 pvol runs the same DP on the same view, with each flat's weight summed over
 every class index in closed form (_gap_weight_total); every flat of an
@@ -71,7 +69,7 @@ index and stored nowhere. It too answers a Boolean interval on B_R's view.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect, bisect_left, bisect_right
 from collections import namedtuple
 from functools import partial
 from itertools import combinations, groupby
@@ -248,38 +246,24 @@ class WeightedFlagSum(namedtuple("WeightedFlagSum", "matroid convention terms"))
 # -- the flag engine: the reference oracle --------------------------------------
 
 
-def _find_gap(flag, val):
-    """Gap index for inserting a flat of target size val, or None on a hit."""
-    idx = 0
-    for i, f in enumerate(flag):
-        fs = f.bit_count()
-        if fs == val:
-            return None
-        if fs < val:
-            idx = i + 1
-        else:
-            break
-    return idx
-
-
 def _entering(matroid, table, lo, hi, vs, i, convention, scale):
     """(g, weight times scale) for every flat g that class vs[i] puts into
     the gap (lo, hi) with a nonzero weight and after which the flag can
     still finish, kept in the call's table on (lo, hi, i).
 
-    The flats come from the matroid's interval store (_levels) and their
-    weights from its table (Matroid._gap_weights), on (convention, lo, hi,
-    vs[i]), which every call shares. Only the filter is per call, and it
+    The flats come from _levels and their weights from Matroid._gap_weights,
+    on (convention, lo, hi, vs[i]), which every call shares. Only the
+    filter is per call, and it
     reads the classes still to insert, vs[i + 1:]: a g whose size is one of
     them dies there at any length (a hit). On a product of length r the
     flag must become maximal, so the classes left inside the gap fill its
-    ranks as in the DP, and g must lie in its rank's window of them. Since
-    no flag that reaches a gap carries a hit, _find_gap always finds one.
+    ranks as in the DP, and g must lie in its rank's window of them. So no
+    flag that reaches a gap carries a hit, and the gap is found by bisection.
     """
     gap = table.get((lo, hi, i))
     if gap is None:
         val, rest = vs[i], vs[i + 1 :]
-        levels = _levels(matroid._levels, matroid._lattice_index(), lo, hi)
+        levels = _levels(matroid._levels, matroid._interval_index, lo, hi)
         weights = matroid._gap_weights.get((convention, lo, hi, val))
         if weights is None:
             weights = matroid._gap_weights[convention, lo, hi, val] = tuple(
@@ -308,7 +292,8 @@ def _expand(matroid, vs, convention, scale):
     for i, val in enumerate(vs):
         new = {}
         for flag, w in terms.items():
-            idx = _find_gap(flag, val)
+            # no flat of the flag has size val (_entering drops such flats)
+            idx = bisect(flag, val, key=int.bit_count)
             lo = flag[idx - 1] if idx else 0
             hi = flag[idx] if idx < len(flag) else full
             for g, wt in _entering(matroid, table, lo, hi, vs, i, convention, scale):
@@ -371,7 +356,7 @@ def _levels(store, index, lo, hi):
     """The flats strictly inside [lo, hi], one (flats, sizes) pair per rank
     from the lowest, each sorted by size: read off the lattice index in
     level order once per interval (every rank between holds a flat, as the
-    lattice is graded) and kept in store, the matroid's Matroid._levels."""
+    lattice is graded) and kept in store, Matroid._levels."""
     got = store.get((lo, hi))
     if got is None:
         by_rank = groupby(_read_between(index, lo, hi), index[4].__getitem__)
@@ -393,7 +378,7 @@ def _flat_view(matroid, convention, scale):
     """Nodes are the flats themselves, as bitmasks; only levels stores them.
     B_R's view takes the matroid's scale; with _rank_view giving None, none."""
     rank = matroid._rank_of_flat.__getitem__
-    index = matroid._lattice_index()
+    index = matroid._interval_index
     between = partial(_read_between, index)
     levels = partial(_levels, matroid._levels, index)
     weight = partial(_gap_weight, convention=convention, scale=scale)

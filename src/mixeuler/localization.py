@@ -31,7 +31,7 @@ beside the table keeps each (index, mixed vector) and each lambda monomial
 reached, filled lazily. The mixed vectors at one index are compositions of
 r into n parts, so over the |C| compositions it holds at most (n + 1)|C|
 entries, and a sweep of all of them costs O(|C| (n + r)) terms. Table and
-memo live on the matroid (`Matroid._localization`) and die with it.
+memo are a store of the matroid (`_localization` in the table on Matroid).
 
 The per-permutation constant-term lemma behind this, the per-permutation
 flag and descent target, and the lambda restriction vectors are implemented
@@ -64,20 +64,15 @@ MAX_GROUND_SET = 8
 # signed permutation classes, grouped by jump counts, then by descent mask
 
 def _class_entry(matroid: Matroid) -> tuple:
-    """(table, memo) of the matroid: its class table and its descent sums.
-
-    memo maps the prefix sums of a lambda vector to _raw_descent_sum's value
-    and (j, mixed vector) to _mixed_sum's; both are filled on first use and
-    die with the matroid.
-    """
+    """The first value of Matroid._localization: (class table, memo), the memo
+    mapping the prefix sums of a lambda vector to _raw_descent_sum's value and
+    (j, mixed vector) to _mixed_sum's. SizeViolation past MAX_GROUND_SET."""
     if matroid.m > MAX_GROUND_SET:
         raise SizeViolation(
             f"permutation pass needs at most {MAX_GROUND_SET} elements, "
             f"got {matroid.m}"
         )
-    if matroid._localization is None:
-        matroid._localization = (_class_table(matroid), {})
-    return matroid._localization
+    return _class_table(matroid), {}
 
 
 def _class_table(matroid: Matroid) -> tuple:
@@ -173,7 +168,7 @@ def _global_sign(matroid: Matroid) -> int:
         for rank, size, d, v in [(2, 3, (0, 0, 1), (2,)), (2, 4, (0, 0, 0, 1), (3,))]:
             m = build_uniform(rank, size)
             want = gamma_product_degree(m, v, engine="flag")
-            got = (-1) ** m.n * _raw_descent_sum(_class_entry(m), _prefix_sums(d))
+            got = (-1) ** m.n * _raw_descent_sum(m._localization, _prefix_sums(d))
             if got != want:
                 raise InternalError(
                     f"sign law check failed on U_{{{rank},{size}}}: {got} != {want}"
@@ -195,7 +190,7 @@ def lambda_monomial_degree(matroid: Matroid, d) -> int:
         raise ExponentMismatch(
             f"exponents must sum to {matroid.r}, got {sum(ds)}"
         )
-    return _global_sign(matroid) * _raw_descent_sum(_class_entry(matroid), _prefix_sums(ds))
+    return _global_sign(matroid) * _raw_descent_sum(matroid._localization, _prefix_sums(ds))
 
 
 def _mixed_sum(entry: tuple, j: int, e: tuple) -> int:
@@ -228,4 +223,4 @@ def gamma_degree_via_localization(matroid: Matroid, c) -> int:
     sign * V_0(0, c_1, ..., c_n), changing basis one index at a time."""
     cs = check_composition(c, matroid.n, matroid.r)
     sign = _global_sign(matroid)
-    return sign * _mixed_sum(_class_entry(matroid), 0, (0,) + cs)
+    return sign * _mixed_sum(matroid._localization, 0, (0,) + cs)

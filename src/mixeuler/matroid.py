@@ -21,8 +21,8 @@ contain it and of those that lack it. An interval is the AND, within the
 rank window, of the first bitsets of lo's elements and the second of the
 elements outside hi: one big-integer operation per element and one step
 per flat returned, instead of a subset test of every flat in the window.
-A read stores nothing: the one interval store is the engines' levels memo
-(Matroid._levels), filled by the walkers that come back to an interval.
+A read stores nothing. All a matroid keeps beyond its cover table is in the
+stores declared, with their owners and bounds, in one table on Matroid.
 
 Element order is the natural integer order and minors relabel surviving
 elements in that induced order; several downstream weight conventions
@@ -34,6 +34,7 @@ only developed for loopless matroids.
 from __future__ import annotations
 
 from collections import namedtuple
+from importlib import import_module
 from itertools import accumulate, combinations, product
 from math import comb
 
@@ -93,11 +94,14 @@ def _squeeze(mask: int, gone) -> int:
 
 
 def _ground_mask(elements, m: int, what: str) -> int:
-    """mask_of(elements), raising SizeViolation for an element outside 0..m-1."""
+    """mask_of(elements); SizeViolation for an element outside 0..m-1 or listed twice."""
     elements = tuple(elements)
     if any(not 0 <= e < m for e in elements):
         raise SizeViolation(f"{what} {sorted(elements)} leaves the ground set")
-    return mask_of(elements)
+    mask = mask_of(elements)
+    if mask.bit_count() != len(elements):
+        raise SizeViolation(f"{what} {sorted(elements)} repeats an element")
+    return mask
 
 
 def largest_elements_mask(universe: int, count: int) -> int:
@@ -140,9 +144,9 @@ class _LatticeKey:
 
     __slots__ = ("flats_by_rank", "_hash")
 
-    def __init__(self, flats_by_rank: tuple):
-        self.flats_by_rank = flats_by_rank
-        self._hash = hash(flats_by_rank)
+    def __init__(self, matroid):
+        self.flats_by_rank = matroid.flats_by_rank
+        self._hash = hash(self.flats_by_rank)
 
     def __hash__(self):
         return self._hash
@@ -151,6 +155,40 @@ class _LatticeKey:
         if type(other) is not _LatticeKey:
             return NotImplemented
         return self._hash == other._hash and self.flats_by_rank == other.flats_by_rank
+
+
+def _pairs(m) -> int:  # pairs of distinct flats of m: a bound on its intervals lo < hi
+    return comb(len(m._rank_of_flat), 2)
+
+
+class _Store:
+    """A per-matroid store, declared once in the table on Matroid.
+
+    Its first read sets it as an instance attribute (by setattr: a write to
+    __dict__ would turn the inline attributes into a dict and slow every read),
+    so a matroid no query reaches holds none. It starts as an empty dict, or as
+    make(m) when make names a function "module.function" of this package,
+    looked up then: this module imports none of the modules owning stores.
+    """
+
+    __slots__ = ("name", "owner", "holds", "bound", "make", "entries")
+
+    def __init__(self, owner, holds, bound, make="", entries=len):
+        self.owner, self.holds, self.bound = owner, holds, bound
+        self.make, self.entries = make, entries
+
+    def __set_name__(self, cls, name):
+        self.name = name
+
+    def __get__(self, matroid, cls=None):
+        if matroid is None:
+            return self
+        value = {}
+        if self.make:
+            module, function = self.make.rsplit(".", 1)
+            value = getattr(import_module(f".{module}", __package__), function)(matroid)
+        setattr(matroid, self.name, value)
+        return value
 
 
 class Matroid:
@@ -162,11 +200,42 @@ class Matroid:
     and checks only the shape of the rows it reads: use the module-level
     build_* constructors and the minor methods, which supply the table.
 
-    A matroid never changes, so it memoises its degree engines, the intervals
-    they come back to, what its relation pipelines learn about it, and its
-    minors; a minor asked again, after its arguments are checked, is the
-    same object, and minors with the same lattice share one child.
+    A matroid never changes, so what queries learn about it is kept in the
+    stores declared below, and dies with it; a minor asked again, after its
+    arguments are checked, is the same object, and minors with the same
+    lattice share one child.
     """
+
+    # The stores: owner, what it maps, bound(m) on entries(store) (None: one
+    # value, made once), the function that makes the first value (none: an
+    # empty dict) and entries (len unless given); n = m - 1, r = rank - 1.
+    # No store holds a reference back to its matroid.
+    _interval_index = _Store("flats_strictly_between", "the index", None, "matroid._lattice_index")
+    _sizes = _Store("level_sizes", "(level_sizes(), proper_flat_sizes())", None, "matroid._sizes")
+    _canonical_key = _Store("canonical_key", "the lattice as a key", None, "matroid._LatticeKey")
+    _minors = _Store(
+        "_keep_minor", "(lo, hi), element, lattice -> minor", lambda m: 2 * (_pairs(m) + m.m)
+    )
+    _levels = _Store("expansion._levels", "(lo, hi) -> the flats between, by rank", _pairs)
+    _degree_memos = _Store("expansion._pick_view", "convention -> (view, memo)", lambda m: 2)
+    _gap_weights = _Store(
+        "expansion._entering", "(convention, lo, hi, val) -> weights", lambda m: 2 * m.n * _pairs(m)
+    )
+    _delcon = _Store("recursion.deletion_contraction_degree", "convention -> memo", lambda m: 2)
+    _pivots = _Store("recursion._dc_step", "element -> (|cl|, contraction, coloop)", lambda m: m.m)
+    _eulerian = _Store(
+        "recursion._eulerian_terms", "(groups, (convention, val) -> terms)", lambda m: 2 * m.n,
+        "recursion._eulerian_groups", lambda pair: len(pair[1]),
+    )
+    _convolution = _Store(
+        "recursion.cv_via_tutte_convolution", "(T_M(1, y), Boolean)", None,
+        "recursion._convolution_pair",
+    )
+    _localization = _Store(
+        "localization._mixed_sum", "(class table, descent sums)",
+        lambda m: (m.n + 1) * comb(m.r + m.n, m.n), "localization._class_entry",
+        lambda pair: len(pair[1]),
+    )
 
     def __init__(self, m: int, step: dict, provenance: str = ""):
         if m < 1:
@@ -187,48 +256,6 @@ class Matroid:
         self.provenance = provenance
         self._rank_of_flat = {f: k for k, level in enumerate(levels) for f in level}
         self._cover_step = step
-        self._interval_index = None
-        # (lo, hi) -> the flats strictly between by rank, each rank sorted by
-        # size: the one interval store, filled by the walkers that come back
-        # to an interval (expansion._levels), never by a public query or pvol
-        self._levels = {}
-        # convention -> (view, memo) of the auto degree engine (expansion.py),
-        # filled by the first degree query under that convention
-        self._degree_memos = {}
-        # (convention, lo, hi, val) -> the scaled weight of each flat of
-        # _levels[lo, hi] in gamma_val, one tuple per rank, filled by the flag
-        # oracle (expansion._entering); the auto engine never reads it
-        self._gap_weights = {}
-        # convention -> {(canonical_key(), v, s): C(v, s)} over the minors that
-        # recursion.deletion_contraction_degree reached from this matroid
-        self._delcon = {}
-        # element i -> (|cl(i)|, the contraction of cl(i), whether i is a
-        # coloop): the pivot step of recursion._dc_step, set by its first
-        # call (None until then: a matroid no relation reaches allocates
-        # nothing), at most m entries
-        self._pivots = None
-        # (groups, sums) of recursion.eulerian_recursion_degree, set by its
-        # first call: groups maps (child, shift) to the rank-1 flats with that
-        # contraction and size and the corank-1 flats with that restriction
-        # (shift 0), at most one group per flat; sums maps each (convention,
-        # val) asked to (child, shift, summed weight in gamma_val) of the
-        # groups whose weights do not cancel, at most 2n keys
-        self._eulerian = None
-        # (T_M(1, y), the Boolean matroid of the same rank) of
-        # recursion.cv_via_tutte_convolution, set by its first call; the
-        # Boolean keeps its own degree memo warm across calls
-        self._convolution = None
-        # (class table, descent-sum memo) of localization._class_entry, set by
-        # the first permutation pass on this matroid; the memo keeps the lambda
-        # monomials and (index, mixed vector) states of the gamma -> lambda
-        # change of basis reached, at most (n + 1) times the compositions
-        self._localization = None
-        # (lower, upper) or a deleted element -> (child, MinorMap), and
-        # (provenance, canonical_key()) -> the one child kept with that lattice;
-        # a child holds no reference back to its parent
-        self._minors = {}
-        self._flat_sizes = None
-        self._canonical_key = None
 
     # -- lattice plumbing ------------------------------------------------
 
@@ -270,29 +297,6 @@ class Matroid:
         for k in range(1, self.rank_total):
             yield from self.flats_by_rank[k]
 
-    def _lattice_index(self):
-        """The flats in level order with two bitsets per element, built at first use.
-
-        (flats, has, lacks, first, rank, full): bit i of has[x] is set when
-        flats[i] contains element x and bit i of lacks[x] when it does not,
-        the flats of rank k are flats[first[k]:first[k + 1]], rank maps a flat
-        to its rank and full is the ground set. Plain data, so that the
-        engines can bind it without the matroid.
-        """
-        if self._interval_index is None:
-            flats = tuple(f for level in self.flats_by_rank for f in level)
-            # the bitsets are the columns of the flats written as binary rows,
-            # last flat first; the leftmost column is the top element's
-            width = f"0{self.m}b"
-            columns = zip(*(format(f, width) for f in reversed(flats)))
-            has = tuple(int("".join(c), 2) for c in columns)[::-1]
-            every = (1 << len(flats)) - 1
-            # kept positive: a query ANDs it in without negating every flat's bit
-            lacks = tuple(every ^ h for h in has)
-            first = tuple(accumulate(map(len, self.flats_by_rank), initial=0))
-            self._interval_index = (flats, has, lacks, first, self._rank_of_flat, self.full_mask)
-        return self._interval_index
-
     def flats_strictly_between(self, lo: int, hi: int):
         """All flats G with lo < G < hi in level order, as a tuple.
 
@@ -301,7 +305,7 @@ class Matroid:
         outside hi. NotAFlat when lo or hi is not a flat.
         """
         self.rank_of_flat(lo), self.rank_of_flat(hi)  # NotAFlat unless both are flats
-        return _read_between(self._lattice_index(), lo, hi)
+        return _read_between(self._interval_index, lo, hi)
 
     def corank_nullity_counts(self):
         """Counts of subsets by (corank, nullity), read off the lattice of flats.
@@ -345,29 +349,15 @@ class Matroid:
 
         A simple matroid with one size per rank is a perfect matroid design.
         """
-        sizes = tuple(level[0].bit_count() for level in self.flats_by_rank)
-        for size, level in zip(sizes, self.flats_by_rank):
-            if any(f.bit_count() != size for f in level):
-                return None
-        return sizes
+        return self._sizes[0]
 
     def canonical_key(self):
-        """The lattice of flats as a dict key, equal for equal lattices.
-
-        Made at the first call and kept: the memos of minors and of the
-        delcon pipeline look it up once per step, and it is hashed once.
-        """
-        if self._canonical_key is None:
-            self._canonical_key = _LatticeKey(self.flats_by_rank)
+        """The lattice of flats as a dict key, equal for equal lattices, hashed once."""
         return self._canonical_key
 
     def proper_flat_sizes(self) -> tuple:
         """Sorted distinct sizes of nonempty proper flats."""
-        if self._flat_sizes is None:
-            self._flat_sizes = tuple(
-                sorted({f.bit_count() for f in self.proper_flats()})
-            )
-        return self._flat_sizes
+        return self._sizes[1]
 
     def __repr__(self):
         tag = self.provenance or "matroid"
@@ -438,7 +428,7 @@ class Matroid:
 
     def _keep_minor(self, key, child, minor_map):
         """Memoise the minor under key, reusing a kept child with the same lattice."""
-        child = self._minors.setdefault((child.provenance, child.canonical_key()), child)
+        child = self._minors.setdefault((child.provenance, child.flats_by_rank), child)
         self._minors[key] = child, minor_map
         return child, minor_map
 
@@ -456,6 +446,35 @@ class Matroid:
             step[f] = tuple(f if (f >> x) & 1 else full for x in range(self.m))
         step[full] = (full,) * self.m
         return Matroid(self.m, step, provenance="truncation")
+
+
+def _lattice_index(matroid: Matroid) -> tuple:
+    """The flats in level order with two bitsets per element.
+
+    (flats, has, lacks, first, rank, full): bit i of has[x] is set when
+    flats[i] contains element x and bit i of lacks[x] when it does not,
+    the flats of rank k are flats[first[k]:first[k + 1]], rank maps a flat
+    to its rank and full is the ground set. Plain data, so that the
+    engines can bind it without the matroid.
+    """
+    flats = tuple(f for level in matroid.flats_by_rank for f in level)
+    # the bitsets are the columns of the flats written as binary rows,
+    # last flat first; the leftmost column is the top element's
+    width = f"0{matroid.m}b"
+    columns = zip(*(format(f, width) for f in reversed(flats)))
+    has = tuple(int("".join(c), 2) for c in columns)[::-1]
+    every = (1 << len(flats)) - 1
+    # kept positive: a query ANDs it in without negating every flat's bit
+    lacks = tuple(every ^ h for h in has)
+    first = tuple(accumulate(map(len, matroid.flats_by_rank), initial=0))
+    return flats, has, lacks, first, matroid._rank_of_flat, matroid.full_mask
+
+
+def _sizes(matroid: Matroid) -> tuple:
+    """(level_sizes(), proper_flat_sizes()), from one pass over the flats."""
+    by_rank = [{f.bit_count() for f in level} for level in matroid.flats_by_rank]
+    proper = tuple(sorted(set().union(*by_rank[1:-1])))
+    return None if any(len(s) > 1 for s in by_rank) else tuple(map(min, by_rank)), proper
 
 
 def _read_between(index: tuple, lo: int, hi: int):
@@ -572,8 +591,6 @@ def build_from_bases(ground_set_size: int, bases) -> Matroid:
     basis_list = []
     seen = set()
     for b in bases:
-        if len(set(b)) != len(tuple(b)):
-            raise SizeViolation(f"basis {sorted(b)} repeats an element")
         mask = _ground_mask(b, ground_set_size, "basis")
         if mask not in seen:
             seen.add(mask)
@@ -615,7 +632,7 @@ def build_sparse_paving(rank: int, ground_set_size: int, circuit_hyperplanes) ->
     chs = []
     for ch in circuit_hyperplanes:
         mask = _ground_mask(ch, ground_set_size, "circuit-hyperplane")
-        if mask.bit_count() != rank or len(set(ch)) != len(tuple(ch)):
+        if mask.bit_count() != rank:
             raise SizeViolation(
                 f"circuit-hyperplane {sorted(ch)} does not have size {rank}"
             )

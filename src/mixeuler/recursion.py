@@ -14,15 +14,13 @@ other:
 
 Minors come from the parent's memo (Matroid.minor_interval, delete_element):
 a repeated call, or a sibling minor with the same lattice, reuses a child
-whose degree memo is already warm. Each relation keeps its structure on the
-matroid, so a call only sums weights and asks degrees. The Eulerian relation
-groups its flats by child and index shift once (Matroid._eulerian), sums
-each group's insertion weights the first time a class index is asked, and
-asks each group's child one degree. Deletion/contraction keeps each pivot's
-closure size, contraction and coloop flag (Matroid._pivots), and C(v, s) of
-every minor it reached on the matroid a call starts from (Matroid._delcon),
-one memo per convention, so the next call recurses only into minors, vectors
-and s it has not met.
+whose degree memo is already warm. Each relation keeps what it learns in
+a store of the matroid (_eulerian, _pivots, _delcon and _convolution in the
+table on Matroid), so a call only sums weights and asks degrees. The
+Eulerian relation groups its flats by child and index shift once and sums
+each group's weights once per class index. Deletion/contraction keeps each
+pivot's closure size, contraction and coloop flag, and C(v, s) of every
+minor it reached, so the next call recurses only into what none reached.
 
 Throughout, C(v, s) means the degree of the product of gamma_{v_i} times
 gamma_n^s, with value 0 whenever a component leaves 1..n or the length is
@@ -136,13 +134,6 @@ def _eulerian_terms(matroid: Matroid, val: int, convention: str):
     child and shift share one degree, so they are grouped once per matroid,
     and each group's weights are summed once per convention and val.
     """
-    if matroid._eulerian is None:
-        groups = {}
-        for flat in matroid.flats_by_rank[1]:
-            groups.setdefault((matroid.contraction(flat)[0], flat.bit_count()), []).append(flat)
-        for flat in matroid.flats_by_rank[matroid.r]:
-            groups.setdefault((matroid.restriction(flat)[0], 0), []).append(flat)
-        matroid._eulerian = (groups, {})
     groups, sums = matroid._eulerian
     got = sums.get((convention, val))
     if got is None:
@@ -155,6 +146,16 @@ def _eulerian_terms(matroid: Matroid, val: int, convention: str):
             if (wt := sum(insertion_weight(0, full, f, val, convention, scale) for f in flats))
         )
     return got
+
+
+def _eulerian_groups(matroid: Matroid) -> tuple:
+    """Matroid._eulerian at first: the flats grouped by (child, shift), no sums."""
+    groups = {}
+    for flat in matroid.flats_by_rank[1]:
+        groups.setdefault((matroid.contraction(flat)[0], flat.bit_count()), []).append(flat)
+    for flat in matroid.flats_by_rank[matroid.r]:
+        groups.setdefault((matroid.restriction(flat)[0], 0), []).append(flat)
+    return groups, {}
 
 
 def _dc_applicable(matroid: Matroid, vs, s: int) -> bool:
@@ -190,8 +191,6 @@ def _dc_eval(matroid: Matroid, vs, s: int, convention: str, memo: dict) -> int:
 def _dc_step(
     matroid: Matroid, vs, s: int, i: int, convention: str, memo: dict
 ) -> int:
-    if matroid._pivots is None:
-        matroid._pivots = {}
     pivot = matroid._pivots.get(i)
     if pivot is None:
         flat = matroid.closure(1 << i)
@@ -291,8 +290,6 @@ def cv_via_tutte_convolution(matroid: Matroid, v, convention: str = "oi") -> int
     T_M(1, y) times C(v - j*1, 0) of the Boolean matroid of the same rank.
     Both are kept on the matroid and die with it.
     """
-    from .matroid import build_boolean
-
     vs = tuple(v)
     if len(vs) != matroid.r:
         raise PreconditionViolation(f"need a full-length vector of {matroid.r} entries")
@@ -304,11 +301,6 @@ def cv_via_tutte_convolution(matroid: Matroid, v, convention: str = "oi") -> int
         raise PreconditionViolation("index entries must be positive")
     if not classify_support(matroid, vs).contiguous:
         raise PreconditionViolation("support must be an integer interval")
-    if matroid._convolution is None:
-        matroid._convolution = (
-            tutte_polynomial(matroid).specialize_y(1),
-            build_boolean(matroid.rank_total),
-        )
     t1y, boolean = matroid._convolution
     total = 0
     for j in range(vs[0]):
@@ -318,3 +310,10 @@ def cv_via_tutte_convolution(matroid: Matroid, v, convention: str = "oi") -> int
                 boolean, tuple(x - j for x in vs), 0, convention
             )
     return total
+
+
+def _convolution_pair(matroid: Matroid) -> tuple:
+    """Matroid._convolution: T_M(1, y) and the Boolean matroid of the same rank."""
+    from .matroid import build_boolean
+
+    return tutte_polynomial(matroid).specialize_y(1), build_boolean(matroid.rank_total)

@@ -42,7 +42,6 @@ from math import comb
 
 from mixeuler.errors import ExponentMismatch, PreconditionViolation
 from mixeuler.expansion import (
-    _find_gap,
     _unscale,
     check_composition,
     composition_to_indices,
@@ -206,6 +205,21 @@ def eulerian_per_flat(matroid, vs, j, convention) -> int:
     quotient, remainder = divmod(total, scale)
     assert not remainder, (vs, j, convention)
     return quotient
+
+
+def _find_gap(flag, val):
+    """Gap index for inserting a flat of target size val into a chain sorted
+    by size, or None on a hit: a flat of the chain has size val."""
+    idx = 0
+    for i, f in enumerate(flag):
+        fs = f.bit_count()
+        if fs == val:
+            return None
+        if fs < val:
+            idx = i + 1
+        else:
+            break
+    return idx
 
 
 def expand_unpruned(matroid, vs, convention, scale) -> dict:

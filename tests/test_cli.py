@@ -501,6 +501,16 @@ class TestExitCodes:
             assert err.startswith("error: ") and cause in err
             assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_a_flat_listing_an_element_twice_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "repeat.json"
+        path.write_text(
+            '{"ground_set_size": 3, "flats_by_rank": [[[]], [[0, 0], [1], [2]], [[0, 1, 2]]]}'
+        )
+        code, out, err = run_cli(capsys, "pvol", "--matroid", f"file:{path}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "flat [0, 0] repeats an element" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_file_matroid_computes(self, capsys, tmp_path):
         path = tmp_path / "u24.json"
         path.write_text(U24_DOC)

@@ -188,6 +188,22 @@ def test_builders_reject_a_negative_element(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: build_from_bases(3, [(0, 1), (1, 1)]), id="bases"),
+        pytest.param(lambda: build_sparse_paving(3, 6, [(1, 1, 2)]), id="sparse_paving"),
+        pytest.param(
+            lambda: build_from_flats(3, [[()], [(1, 1), (0,), (2,)], [(0, 1, 2)]]), id="flats"
+        ),
+    ],
+)
+def test_builders_reject_an_element_listed_twice(build):
+    # a flat of {1} written as [1, 1] once passed: the mask drops the repeat
+    with pytest.raises(SizeViolation, match=r"\[1, 1\b.*\] repeats an element"):
+        build()
+
+
 def test_from_flats_roundtrip():
     u = build_uniform(2, 3)
     levels = [[tuple(set_of(f)) for f in lev] for lev in u.flats_by_rank]
@@ -559,7 +575,7 @@ def test_an_empty_rank_window_reads_no_bitset(name):
     """With no rank strictly between lo and hi (lo == hi, or hi covers lo),
     an interval read answers () before it touches a bitset."""
     m = fresh(named_catalog()[name])
-    flats, _, _, first, rank, full = m._lattice_index()
+    flats, _, _, first, rank, full = m._interval_index
     blind = (flats, None, None, first, rank, full)  # a read of has or lacks raises
     for f in flats:
         assert _read_between(blind, f, f) == ()

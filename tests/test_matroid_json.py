@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mixeuler.errors import MatroidFileError
+from mixeuler.errors import MatroidFileError, SizeViolation
 from mixeuler.matroid import build_sparse_paving, build_uniform
 from mixeuler.matroid_json import load_matroid, matroid_from_document
 
@@ -69,6 +69,14 @@ class TestDocuments:
         with pytest.raises(MatroidFileError) as info:
             matroid_from_document(doc)
         assert info.value.pointer == pointer
+
+    def test_a_flat_listing_an_element_twice_is_rejected(self):
+        doc = {
+            "ground_set_size": 3,
+            "flats_by_rank": [[[]], [[0, 0], [1], [2]], [[0, 1, 2]]],
+        }
+        with pytest.raises(SizeViolation, match=r"flat \[0, 0\] repeats an element"):
+            matroid_from_document(doc)
 
     def test_structural_errors_propagate(self):
         doc = {
