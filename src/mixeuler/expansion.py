@@ -14,9 +14,10 @@ Two weight conventions are supported and must agree on every degree:
   the n+1-k largest elements and OI is the over-intersection, the amount by
   which |S cap T| exceeds the generic overlap. Integer weights.
 * "mult": gamma_k = sum over flats S of (min(|S|, k) - k|S|/(n+1)) x_S.
-  Rational weights. Every engine scales them by L = lcm(1..n+1), which makes
-  each weight an integer (insertion_weight), and divides the finished sum by
-  L^r once; a degree that does not come out an integer raises InternalError.
+  Rational weights. The DP and the flag expansion scale them by
+  L = lcm(1..n+1), which makes each weight an integer (insertion_weight),
+  and divide the finished sum by L^r once; a degree that does not come out
+  an integer raises InternalError.
 
 Multiplying a weighted flag sum by gamma_k inserts one new flat into each
 flag: if some flat of the flag has size exactly k the term dies, otherwise
@@ -24,42 +25,42 @@ there is a unique gap (F, G) in the flag with |F| < k < |G| (the ends padded
 with the empty set and the ground set), and every flat strictly between F
 and G enters with the convention's weight computed inside the interval.
 
-Engines:
+The degrees (gamma_product_degree, mixed_eulerian_degree) come from an
+interval DP. Postnikov's trees factor at the first flat inserted: v_1 puts
+a flat G into the gap (lo, hi); a later class below |G| then goes to the
+restriction [lo, G], one above it to the contraction [G, hi], and one equal
+to |G| kills the term. So
+deg(lo, hi, vs) = sum_G w(lo, hi, G, v_1) deg(lo, G, vs_<) deg(G, hi, vs_>).
+A full flag puts exactly a of the later classes v_2, v_3, ... below a G of
+rank rank(lo) + a + 1, so G can enter only when |G| lies strictly between
+the a-th and the (a+1)-th of them. The DP reads the flats of each interval
+by rank, sorted by size (_levels), and bisects that window out of each rank
+(_window), never visiting the flats outside it. It sets the gap (lo, hi) up
+for v_1 once per interval (_gap_weight: the oi top mask, the mult
+constants) and calls the result on each flat of the windows. On perfect
+matroid designs (projective geometries, uniform and Boolean matroids),
+where all flats of one rank have one size, it walks ranks instead,
+weighting each rank by the total weight of its flats in the interval, in
+closed form; that view keeps each gap's weights, one per rank, in a memo of
+at most R(R+1)/2 * n gaps (R the rank). On other matroids an interval
+[lo, hi] with rank(hi) - rank(lo) = |hi - lo| is Boolean: every set between
+is a flat, and its degrees are Postnikov's mixed Eulerian numbers, which
+depend on |hi - lo| alone. The flat view answers it on the rank view of the
+Boolean matroid B_R, R the rank, over the ranks 0 and |hi - lo|, and reads
+none of its flats. The view and the memo on (lo, hi, vs) are kept on the
+matroid, one per convention, so every degree query on it reuses the
+sub-interval degrees of those before.
 
-* "auto", the interval DP. Postnikov's trees factor at the first flat
-  inserted: v_1 puts a flat G into the gap (lo, hi); a later class below |G|
-  then goes to the restriction [lo, G], one above it to the contraction
-  [G, hi], and one equal to |G| kills the term. So
-  deg(lo, hi, vs) = sum_G w(lo, hi, G, v_1) deg(lo, G, vs_<) deg(G, hi, vs_>).
-  A full flag puts exactly a of the later classes v_2, v_3, ... below a G
-  of rank rank(lo) + a + 1, so G can enter only when |G| lies strictly
-  between the a-th and the (a+1)-th of them. The DP reads the flats of
-  each interval by rank, sorted by size (_levels), and bisects that window
-  out of each rank (_window), never visiting the flats outside it. It sets
-  the gap (lo, hi) up for v_1 once per interval (_gap_weight: the oi top
-  mask, the mult constants) and calls the result on each flat of the
-  windows. On perfect matroid designs (projective geometries, uniform and
-  Boolean matroids), where all flats of one rank have one size, it walks
-  ranks instead, weighting each rank by the total weight of its flats in
-  the interval, in closed form; that view keeps each gap's weights, one
-  per rank, in a memo of at most R(R+1)/2 * n gaps (R the rank). On other
-  matroids an interval [lo, hi] with rank(hi) - rank(lo) = |hi - lo| is
-  Boolean: every set between is a flat, and its degrees are Postnikov's
-  mixed Eulerian numbers, which depend on |hi - lo| alone. The flat view
-  answers it on the rank view of the Boolean matroid B_R, R the rank, over
-  the ranks 0 and |hi - lo|, and reads none of its flats. The view and the
-  memo on (lo, hi, vs) are kept on the matroid, one per convention, so
-  every auto query on it reuses the sub-interval degrees of those before.
-* "flag", the term-by-term flag expansion above. It is the reference oracle
-  the DP is tested against and the backend of expand_gamma_product. It drops
-  a partial flag as soon as it must die: a flat whose size is a class still
-  to insert (a hit), and, on a product of length r, where every surviving
-  term is a maximal flag, a flat outside the DP's window of its rank, taken
-  over the classes left inside the gap. It reads the same levels, and the
-  insertion weights of each gap and class, kept for it alone; each call
-  windows them in a table of its own (_entering), as tree enumeration does.
-  What the matroid keeps for either engine (_levels, _degree_memos,
-  _gap_weights) is declared, with its bound, in the table on Matroid.
+expand_gamma_product is the term-by-term flag expansion above, the
+reference oracle the DP is tested against. It drops a partial flag as soon
+as it must die: a flat whose size is a class still to insert (a hit), and,
+on a product of length r, where every surviving term is a maximal flag, a
+flat outside the DP's window of its rank, taken over the classes left
+inside the gap. It reads the same levels, and the insertion weights of each
+gap and class, kept for it alone; each call windows them in a table of its
+own (_entering), as tree enumeration does. What the matroid keeps for the
+DP and the expansion (_levels, _degree_memos, _gap_weights) is declared,
+with its bound, in the table on Matroid.
 
 pvol runs the same DP on the same view, with each flat's weight summed over
 every class index in closed form (_gap_weight_total); every flat of an
@@ -73,7 +74,7 @@ from bisect import bisect, bisect_left, bisect_right
 from collections import namedtuple
 from functools import partial
 from itertools import combinations, groupby
-from math import comb, factorial, lcm, prod
+from math import comb, lcm
 
 from .errors import CompositionMismatch, InternalError, RankTooSmall, VOutOfRange
 from .matroid import Matroid, _read_between, bits_of
@@ -97,11 +98,11 @@ __all__ = [
 ]
 
 CONVENTIONS = ("oi", "mult")
-_ENGINES = ("auto", "flag")
 
 
 def weight_scale(m: int, convention: str) -> int:
     """Factor that makes every insertion weight on m elements an integer."""
+    _check_convention(convention)
     return lcm(*range(1, m + 1)) if convention == "mult" else 1
 
 
@@ -122,6 +123,8 @@ def insertion_weight(
         for _ in range(val - lo_size):
             top &= top - 1  # drop the smallest element left
         return scale * ((g & top).bit_count() - max(0, g.bit_count() - val))
+    if convention != "mult":
+        raise VOutOfRange(f"unknown weight convention {convention!r}")
     s = g.bit_count() - lo_size
     k = val - lo_size
     return scale * min(s, k) - scale // (hi.bit_count() - lo_size) * k * s
@@ -243,7 +246,7 @@ class WeightedFlagSum(namedtuple("WeightedFlagSum", "matroid convention terms"))
         return len(self.terms)
 
 
-# -- the flag engine: the reference oracle --------------------------------------
+# -- the flag expansion: the reference oracle -----------------------------------
 
 
 def _entering(matroid, table, lo, hi, vs, i, convention, scale):
@@ -318,7 +321,6 @@ def expand_gamma_product(matroid: Matroid, v, convention: str = "oi") -> Weighte
     resulting weights depend on the order of v; the total over full-length
     flags (the degree) does not.
     """
-    _check_convention(convention)
     vs = tuple(v)
     _validate_product(matroid, vs)
     scale = weight_scale(matroid.m, convention)
@@ -448,16 +450,13 @@ def _rank_view(n, convention, scale):
     return _View(0, len(n) - 1, int, between, lambda a, b: levels[a, b], weight, total, scale, gaps, None)
 
 
-def _pick_view(matroid, convention, engine):
-    """The matroid's (view, memo) of the DP for an engine name, None for flag.
+def _pick_view(matroid, convention):
+    """The matroid's (view, memo) of the DP under convention.
 
-    Built at the first auto query under convention and kept on the matroid,
-    so the view binds insertion_weight and _flat_view as they were then.
+    Built at the first query under convention and kept on the matroid, so
+    the view binds _gap_weight and _flat_view as they were then.
     """
-    if engine not in _ENGINES:
-        raise VOutOfRange(f"unknown engine {engine!r}")
-    if engine == "flag":
-        return None
+    _check_convention(convention)
     state = matroid._degree_memos.get(convention)
     if state is None:
         scale = weight_scale(matroid.m, convention)
@@ -528,42 +527,29 @@ def _vol(view, memo, lo, hi, inner):
     return got
 
 
-def gamma_product_degree(
-    matroid: Matroid, v, convention: str = "oi", engine: str = "auto"
-) -> int:
+def gamma_product_degree(matroid: Matroid, v, convention: str = "oi") -> int:
     """Degree of the product of the gamma_{v_i}, 0 when it trivially dies.
 
     Liberal on input: an index outside 1..n, or a product length different
     from r, gives 0. Recursive identities lean on that convention.
     """
-    _check_convention(convention)
-    state = _pick_view(matroid, convention, engine)
+    view, memo = _pick_view(matroid, convention)
     vs = tuple(sorted(v))
     if len(vs) != matroid.r:
         return 0
     if vs and (vs[0] < 1 or vs[-1] > matroid.n):
         return 0
-    if state is None:
-        scale = weight_scale(matroid.m, convention)
-        total = sum(_expand(matroid, vs, convention, scale).values())
-    else:
-        view, memo = state
-        scale = view.scale
-        total = _deg(view, memo, view.bottom, view.top, vs) if vs else 1
-    return _unscale(total, scale ** len(vs))
+    total = _deg(view, memo, view.bottom, view.top, vs) if vs else 1
+    return _unscale(total, view.scale ** len(vs))
 
 
-def mixed_eulerian_degree(
-    matroid: Matroid, c, convention: str = "oi", engine: str = "auto"
-) -> int:
+def mixed_eulerian_degree(matroid: Matroid, c, convention: str = "oi") -> int:
     """A_c(M) for a composition c = (c_1..c_n) of r."""
     cs = check_composition(c, matroid.n, matroid.r)
-    return gamma_product_degree(
-        matroid, composition_to_indices(cs), convention, engine
-    )
+    return gamma_product_degree(matroid, composition_to_indices(cs), convention)
 
 
-def pvol(matroid: Matroid, convention: str = "oi", engine: str = "auto") -> int:
+def pvol(matroid: Matroid, convention: str = "oi") -> int:
     """Degree of (gamma_1 + ... + gamma_n)^r, the permutohedral volume.
 
     Equals the multinomial-weighted sum of all A_c(M). The DP gets it in one
@@ -571,20 +557,10 @@ def pvol(matroid: Matroid, convention: str = "oi", engine: str = "auto") -> int:
     index (_gap_weight_total), on the matroid's view but with its own memo.
     On a flat view it reads each Boolean interval [lo, hi] off the rank view
     of B_R, as the degrees do: that interval's volume is B_R's on the ranks
-    0 and |hi - lo|, kept in a second memo of the call's own. Engine "flag"
-    takes the multinomial sum over the flag oracle.
+    0 and |hi - lo|, kept in a second memo of the call's own.
     """
-    _check_convention(convention)
-    r = matroid.r
-    state = _pick_view(matroid, convention, engine)
-    if state is not None:
-        view = state[0]
-        return _unscale(_vol(view, {}, view.bottom, view.top, {}), view.scale ** r)
-    return sum(
-        factorial(r) // prod(map(factorial, c))
-        * mixed_eulerian_degree(matroid, c, convention, "flag")
-        for c in compositions(r, matroid.n)
-    )
+    view = _pick_view(matroid, convention)[0]
+    return _unscale(_vol(view, {}, view.bottom, view.top, {}), view.scale ** matroid.r)
 
 
 def count_initial_descending_flags(matroid: Matroid, k: int) -> int:

@@ -13,8 +13,9 @@ from the exponents and K(w):
 Each matching permutation contributes (-1)^des(w), and the total carries a
 global factor (-1)^n: the fixed-point denominator is a product of n edge
 differences whose orientation convention costs one sign each. The law is
-checked once against the flag engine on a rank-2 pair covering both
-parities of n, and asserted against it everywhere else in tests.
+checked once against the flag expansion (expand_gamma_product) on a rank-2
+pair covering both parities of n, and asserted against it everywhere else
+in tests.
 
 The permutations are tallied once per matroid, without visiting all m! of
 them: a DP over prefixes, layer by layer, keeps one state per set of used
@@ -45,7 +46,7 @@ from itertools import accumulate
 from math import comb
 
 from .errors import ExponentMismatch, InternalError, SizeViolation
-from .expansion import check_composition, gamma_product_degree
+from .expansion import check_composition, expand_gamma_product
 from .matroid import Matroid, build_uniform
 
 __all__ = [
@@ -156,7 +157,7 @@ _SIGN_CHECKED = False
 
 
 def _global_sign(matroid: Matroid) -> int:
-    """(-1)^n, checked once against `engine="flag"` on both parities.
+    """(-1)^n, checked once against expand_gamma_product on both parities.
 
     Flipping the orientation of every edge difference in the fixed-point
     denominator costs one sign per edge; the descent sum absorbs everything
@@ -167,7 +168,7 @@ def _global_sign(matroid: Matroid) -> int:
     if not _SIGN_CHECKED:
         for rank, size, d, v in [(2, 3, (0, 0, 1), (2,)), (2, 4, (0, 0, 0, 1), (3,))]:
             m = build_uniform(rank, size)
-            want = gamma_product_degree(m, v, engine="flag")
+            want = expand_gamma_product(m, v).total()
             got = (-1) ** m.n * _raw_descent_sum(m._localization, _prefix_sums(d))
             if got != want:
                 raise InternalError(

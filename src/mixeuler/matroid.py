@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from importlib import import_module
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, islice, product
 from math import comb
 
 from .errors import (
@@ -605,8 +605,9 @@ def build_from_bases(ground_set_size: int, bases) -> Matroid:
     for b in basis_list:
         covered |= b
     if covered != (1 << ground_set_size) - 1:
-        loose = set_of(((1 << ground_set_size) - 1) & ~covered)
-        raise LoopDetected(f"elements {loose} lie in no basis")
+        loose = ((1 << ground_set_size) - 1) & ~covered
+        count, first = loose.bit_count(), list(islice(bits_of(loose), 3))
+        raise LoopDetected(f"{count} of {ground_set_size} elements lie in no basis (first {first})")
     basis_set = set(basis_list)
     for b1 in basis_list:
         for b2 in basis_list:

@@ -7,8 +7,8 @@ other:
 * an Eulerian-type one-step relation for sorted flatly contiguous index
   vectors with a repeated entry, summing over rank-1 and corank-1 flats;
 * deletion/contraction for contiguous sorted vectors, recursing through
-  minors and falling back to the interval DP (gamma_product_degree's auto
-  engine) whenever a child leaves the relation's domain;
+  minors and falling back to the interval DP (gamma_product_degree)
+  whenever a child leaves the relation's domain;
 * the generating polynomial whose y^k coefficient shifts every index up by
   k, together with its Tutte convolution and factorization identities.
 
@@ -103,6 +103,7 @@ def eulerian_recursion_degree(
     indices shifted down by the flat size) and corank-1 flats (entering the
     restriction) survive.
     """
+    _check_convention(convention)
     vs = tuple(v)
     r = matroid.r
     if len(vs) != r:
@@ -137,7 +138,6 @@ def _eulerian_terms(matroid: Matroid, val: int, convention: str):
     groups, sums = matroid._eulerian
     got = sums.get((convention, val))
     if got is None:
-        _check_convention(convention)  # c_degree's error, before a bad convention keys a sum
         full = matroid.full_mask
         scale = weight_scale(matroid.m, convention)
         got = sums[convention, val] = tuple(
@@ -237,6 +237,7 @@ def deletion_contraction_degree(
     kept on the matroid, one memo per convention keyed by the child's lattice,
     so later calls reuse every minor an earlier one reached.
     """
+    _check_convention(convention)
     vs = tuple(v)
     if matroid.rank_total < 3:
         raise RankTooSmall("relation needs rank at least 3")
@@ -290,6 +291,7 @@ def cv_via_tutte_convolution(matroid: Matroid, v, convention: str = "oi") -> int
     T_M(1, y) times C(v - j*1, 0) of the Boolean matroid of the same rank.
     Both are kept on the matroid and die with it.
     """
+    _check_convention(convention)
     vs = tuple(v)
     if len(vs) != matroid.r:
         raise PreconditionViolation(f"need a full-length vector of {matroid.r} entries")

@@ -40,7 +40,6 @@ from fractions import Fraction
 
 from .errors import VOutOfRange
 from .expansion import (
-    _check_convention,
     _entering,
     _validate_product,
     insertion_weight,
@@ -112,7 +111,6 @@ def tree_weight(matroid: Matroid, tree: PostnikovTree, v, convention: str = "oi"
 
     v must hold one class per vertex; VOutOfRange otherwise.
     """
-    _check_convention(convention)
     vs = tuple(v)
     if len(vs) != tree.size:
         raise VOutOfRange(f"v has {len(vs)} classes but the tree has {tree.size} vertices")
@@ -183,7 +181,6 @@ def enumerate_trees(matroid: Matroid, v, convention: str = "oi"):
 
     Aggregating the result by image flag reproduces expand_gamma_product.
     """
-    _check_convention(convention)
     vs = tuple(v)
     _validate_product(matroid, vs)
     scale = weight_scale(matroid.m, convention)

@@ -93,15 +93,14 @@ class CharData(namedtuple("CharData", "chi chi_reduced mu")):
     __slots__ = ()
 
 
-def characteristic_data(matroid: Matroid, tutte: PolyXY = None) -> CharData:
+def characteristic_data(matroid: Matroid) -> CharData:
     """Characteristic polynomial, its reduced form, and the mu coefficients.
 
     chi(t) = (-1)^(r+1) T(1-t, 0), reduced by the factor (t-1); the k-th
     coefficient of the reduced polynomial is (-1)^k mu^k with mu^k >= 0.
     """
-    t = tutte if tutte is not None else tutte_polynomial(matroid)
     lam = UniPoly.variable()
-    chi = t.substitute(1 - lam, UniPoly())
+    chi = tutte_polynomial(matroid).substitute(1 - lam, UniPoly())
     if isinstance(chi, int):
         chi = UniPoly.constant(chi)
     sign = -1 if matroid.rank_total % 2 else 1

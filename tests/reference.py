@@ -10,6 +10,10 @@ flat of the ranks strictly between. Localization tallies permutations by a
 DP over prefix sets; perm_classes_walk visits all m! orderings on a prefix
 tree. Tree enumeration skips flats of zero insertion weight;
 trees_unpruned grows every tree and lets tree_weight drop the zero ones.
+The degrees come from the interval DP; flag_degree reads them off the flag
+expansion behind expand_gamma_product, the oracle the DP is checked
+against, summing its integer weights as the DP does rather than the
+Fractions expand_gamma_product returns under mult.
 The flag expansion of a full-length product drops partial flags that
 cannot become maximal; expand_unpruned grows every one of them. It keeps
 the flats of each rank's size window, bisected out of the rank as the
@@ -42,6 +46,7 @@ from math import comb
 
 from mixeuler.errors import ExponentMismatch, PreconditionViolation
 from mixeuler.expansion import (
+    _expand,
     _unscale,
     check_composition,
     composition_to_indices,
@@ -205,6 +210,19 @@ def eulerian_per_flat(matroid, vs, j, convention) -> int:
     quotient, remainder = divmod(total, scale)
     assert not remainder, (vs, j, convention)
     return quotient
+
+
+def flag_degree(matroid, v, convention: str = "oi") -> int:
+    """gamma_product_degree(matroid, v, convention) by the flag expansion
+    behind expand_gamma_product: the scaled weights of the sorted product's
+    flags, summed as integers and divided by L^r once. Liberal on input as
+    the degree is: 0 for a product length other than r or an index outside
+    1..n. A sum that L^r does not divide raises InternalError."""
+    vs = tuple(sorted(v))
+    if len(vs) != matroid.r or vs and (vs[0] < 1 or vs[-1] > matroid.n):
+        return 0
+    scale = weight_scale(matroid.m, convention)
+    return _unscale(sum(_expand(matroid, vs, convention, scale).values()), scale ** len(vs))
 
 
 def _find_gap(flag, val):

@@ -50,6 +50,7 @@ from mixeuler.tutte import characteristic_data, tutte_polynomial
 
 from reference import (
     descent_rule_value,
+    flag_degree,
     pg_identity_check,
     series_constant_term,
     two_block_degree,
@@ -225,9 +226,9 @@ def test_criterion_07_cross_pipeline_equivalence():
         degrees = {}
         for cs in compositions(matroid.r, matroid.n):
             vs = composition_to_indices(cs)
-            want = gamma_product_degree(matroid, vs, "oi", engine="flag")
+            want = flag_degree(matroid, vs, "oi")
             degrees[vs] = want
-            if gamma_product_degree(matroid, vs, "mult", engine="flag") != want:
+            if flag_degree(matroid, vs, "mult") != want:
                 bad.append((name, cs, "mult"))
                 continue
             if gamma_degree_via_localization(matroid, cs) != want:

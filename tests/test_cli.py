@@ -511,6 +511,13 @@ class TestExitCodes:
         assert err.startswith("error: ") and "flat [0, 0] repeats an element" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_elements_in_no_basis_are_counted_not_listed(self, capsys, tmp_path):
+        path = tmp_path / "loose.json"
+        path.write_text('{"ground_set_size": 100000, "bases": [[0]]}')
+        code, out, err = run_cli(capsys, "pvol", "--matroid", f"file:{path}")
+        assert (code, out) == (1, "")
+        assert err == "error: 99999 of 100000 elements lie in no basis (first [1, 2, 3])\n"
+
     def test_file_matroid_computes(self, capsys, tmp_path):
         path = tmp_path / "u24.json"
         path.write_text(U24_DOC)

@@ -1,4 +1,4 @@
-"""The auto engine's memo, kept on its matroid and shared by every degree
+"""The degree DP's memo, kept on its matroid and shared by every degree
 query, and the tables the flag oracle and the relations keep beside it."""
 
 import gc
@@ -31,7 +31,7 @@ from mixeuler.recursion import (
 )
 from mixeuler.trees import enumerate_trees
 
-from reference import flats_between_scan
+from reference import flag_degree, flats_between_scan
 from seeded import seeded_sparse_paving
 from test_matroid import fresh
 from test_recursion import relation_calls
@@ -47,7 +47,7 @@ def test_warm_memo_matches_flag_and_fresh_matroids(name, convention):
     random.Random(f"{name}-{convention}").shuffle(cs)
     for c in cs:
         warm = mixed_eulerian_degree(shared, c, convention)
-        assert warm == mixed_eulerian_degree(shared, c, convention, "flag"), c
+        assert warm == flag_degree(shared, composition_to_indices(c), convention), c
         assert warm == mixed_eulerian_degree(fresh(shared), c, convention), c
     if shared.r:
         # a second pass finds every interval it needs in the memo
@@ -209,7 +209,7 @@ def test_relation_stores_hold_one_entry_per_group_val_and_pivot(make):
     ids=["auto degree", "expand_gamma_product"],
 )
 def test_interval_memo_is_filled_by_the_engines_alone(engine):
-    # sparse paving but no design, so the auto engine walks the flat view
+    # sparse paving but no design, so the DP walks the flat view
     circuit_hyperplanes = [(0, 1, 2), (3, 4, 5)]
     engine(build_sparse_paving(3, 6, circuit_hyperplanes))  # warm-up: imports
     gc.collect()
@@ -270,8 +270,8 @@ def test_flag_engine_leaves_the_memo_empty():
     m = build_projective_geometry(2, 2)
     for conv in CONVENTIONS:
         for c in compositions(m.r, m.n):
-            mixed_eulerian_degree(m, c, conv, "flag")
-        pvol(m, conv, "flag")
+            expand_gamma_product(m, composition_to_indices(c), conv)
+    assert "_gap_weights" in vars(m)
     assert "_degree_memos" not in vars(m)
 
 

@@ -36,12 +36,14 @@ from mixeuler.expansion import (
 
 from reference import (
     expand_unpruned,
+    flag_degree,
     flats_between_scan,
     mult_weight,
     oi_weight,
     trees_unpruned,
     viable,
 )
+from test_interval_dp import flag_loop_pvol
 from test_matroid import fresh
 
 
@@ -109,6 +111,15 @@ def test_expand_validates_input():
         expand_gamma_product(m, (1, 1, 1))
     with pytest.raises(VOutOfRange):
         gamma_product_degree(m, (1, 2), convention="nope")
+    with pytest.raises(VOutOfRange):
+        expand_gamma_product(m, (1, 2), "nope")
+
+
+def test_weights_refuse_an_unknown_convention():
+    with pytest.raises(VOutOfRange):
+        insertion_weight(0, 7, 1, 1, "bogus", 1)
+    with pytest.raises(VOutOfRange):
+        weight_scale(3, "bogus")
 
 
 def test_degree_liberal_conventions():
@@ -151,11 +162,13 @@ def _build(spec):
 
 @pytest.mark.parametrize("spec,c,want", FROZEN)
 @pytest.mark.parametrize("convention", ["oi", "mult"])
-# the auto engine, held to the rank view by the rank_view_only fixture; the
-# id "sizes" stays so that the test ids stay stable
-@pytest.mark.parametrize("engine", ["flag", pytest.param("auto", id="sizes")])
-def test_frozen_boolean_degrees(spec, c, want, convention, engine, rank_view_only):
-    assert mixed_eulerian_degree(_build(spec), c, convention, engine) == want
+# the flag oracle, and the DP held to the rank view by the rank_view_only
+# fixture; the id "sizes" stays so that the test ids stay stable
+@pytest.mark.parametrize(
+    "degree", [pytest.param(flag_degree, id="flag"), pytest.param(gamma_product_degree, id="sizes")]
+)
+def test_frozen_boolean_degrees(spec, c, want, convention, degree, rank_view_only):
+    assert degree(_build(spec), composition_to_indices(c), convention) == want
 
 
 def test_frozen_fano_degrees():
@@ -212,7 +225,7 @@ def test_pruned_expansion_matches_unpruned(name, convention):
         for order in (vs, vs[::-1]):
             want = unpruned(order)
             assert expand_gamma_product(m, order, convention).terms == want, order
-            assert gamma_product_degree(m, order, convention, "flag") == sum(want.values())
+            assert flag_degree(m, order, convention) == sum(want.values())
     rng = random.Random(20261019)
     for _ in range(12 if m.r else 0):
         vs = tuple(rng.randint(1, m.n) for _ in range(rng.randrange(m.r)))
@@ -318,8 +331,8 @@ def test_sizes_engine_matches_flag_engine_exhaustively(rank_view_only):
         M = build_uniform(rank, m)
         for c in compositions(M.r, M.n):
             for conv in ("oi", "mult"):
-                assert mixed_eulerian_degree(M, c, conv, "auto") == mixed_eulerian_degree(
-                    M, c, conv, "flag"
+                assert mixed_eulerian_degree(M, c, conv) == flag_degree(
+                    M, composition_to_indices(c), conv
                 ), (rank, m, c, conv)
 
 
@@ -330,15 +343,8 @@ def test_sizes_engine_matches_flag_engine_sampled_large(rank_view_only):
         for _ in range(6):
             v = sorted(rng.randint(1, M.n) for _ in range(M.r))
             for conv in ("oi", "mult"):
-                assert gamma_product_degree(M, v, conv, "auto") == gamma_product_degree(
-                    M, v, conv, "flag"
-                ), (rank, m, v, conv)
-
-
-def test_sizes_engine_refuses_nonuniform():
-    f = build_projective_geometry(2, 2)
-    with pytest.raises(VOutOfRange):
-        gamma_product_degree(f, (1, 1), engine="sizes")
+                want = flag_degree(M, v, conv)
+                assert gamma_product_degree(M, v, conv) == want, (rank, m, v, conv)
 
 
 def test_boolean_single_support_is_eulerian():
@@ -414,7 +420,7 @@ def test_pvol_frozen_and_identity():
         assert pvol(B) == factorial(n) * (n + 1) ** (n - 1)
         assert pvol(B, "mult") == pvol(B)
     f = build_projective_geometry(2, 2)
-    assert pvol(f) == pvol(f, "mult") == pvol(f, engine="flag")
+    assert pvol(f) == pvol(f, "mult") == flag_loop_pvol(f, "oi")
 
 
 def test_pvol_is_multinomial_sum_of_degrees():

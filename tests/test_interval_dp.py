@@ -32,16 +32,16 @@ from mixeuler.expansion import (
     weight_scale,
 )
 
-from reference import flats_between_scan, mult_weight, oi_weight
+from reference import flag_degree, flats_between_scan, mult_weight, oi_weight
 from seeded import SPARSE_PAVING_SEEDS, random_sparse_paving, seeded_sparse_paving
 from test_matroid import SMALL_CATALOG, fresh
 
 
-def assert_dp_matches_flag(m, engine="auto"):
+def assert_dp_matches_flag(m):
     for c in compositions(m.r, m.n):
         for conv in ("oi", "mult"):
-            want = mixed_eulerian_degree(m, c, conv, "flag")
-            assert mixed_eulerian_degree(m, c, conv, engine) == want, (m, c, conv)
+            want = flag_degree(m, composition_to_indices(c), conv)
+            assert mixed_eulerian_degree(m, c, conv) == want, (m, c, conv)
 
 
 def test_flat_view_matches_flag_on_catalog():
@@ -68,7 +68,7 @@ def test_random_sparse_paving_dp_flag_localization_agree(seed):
         want = gamma_degree_via_localization(m, c)
         for conv in ("oi", "mult"):
             assert mixed_eulerian_degree(m, c, conv) == want, (seed, c, conv)
-            assert mixed_eulerian_degree(m, c, conv, "flag") == want, (seed, c, conv)
+            assert flag_degree(m, composition_to_indices(c), conv) == want, (seed, c, conv)
 
 
 def flag_loop_pvol(m, convention):
@@ -119,15 +119,13 @@ def test_pvol_matches_flag_loop(m):
         assert pvol(m, conv) == flag_loop_pvol(m, conv), conv
 
 
-def test_pvol_engine_is_checked():
+def test_pvol_convention_is_checked():
     fano = build_projective_geometry(2, 2)
     assert pvol(fano) == 378
     with pytest.raises(VOutOfRange):
-        pvol(fano, engine="sizes")
+        pvol(fano, "bogus")
     with pytest.raises(VOutOfRange):
-        pvol(fano, engine="bogus")
-    with pytest.raises(VOutOfRange):
-        mixed_eulerian_degree(fano, (1, 1, 0, 0, 0, 0), engine="bogus")
+        mixed_eulerian_degree(fano, (1, 1, 0, 0, 0, 0), "bogus")
 
 
 def test_insertion_weight_matches_reference_formulas():
@@ -158,17 +156,19 @@ def test_insertion_weight_matches_reference_formulas():
 def test_inexact_final_division_raises(monkeypatch, engine):
     # every flat weighted 1: the scaled sum is a flag count far below L^r,
     # so the division by L^r leaves a remainder. The flag oracle weighs each
-    # flat with insertion_weight; the auto engine sets each gap up with
-    # _gap_weight, which its rank view calls on one flat per rank and
-    # multiplies by the number of flats. The matroid must be built after the
-    # patch: the auto engine keeps its view on the matroid at its first query.
+    # flat with insertion_weight; the DP sets each gap up with _gap_weight,
+    # which its rank view calls on one flat per rank and multiplies by the
+    # number of flats. The matroid must be built after the patch: the DP
+    # keeps its view on the matroid at its first query.
     if engine == "auto":
         monkeypatch.setattr(expansion, "_gap_weight", lambda *args: lambda g: 1)
+        degree = expansion.gamma_product_degree
     else:
         monkeypatch.setattr(expansion, "insertion_weight", lambda *args, **kwargs: 1)
+        degree = flag_degree
     fano = build_projective_geometry(2, 2)
     with pytest.raises(InternalError):
-        expansion.gamma_product_degree(fano, (1, 2), "mult", engine)
+        degree(fano, (1, 2), "mult")
 
 
 def test_gap_weight_total_is_the_sum_over_class_indices():
@@ -280,10 +280,19 @@ def test_flat_view_is_picked_on_sparse_paving(monkeypatch, size):
     assert picked == list(CONVENTIONS)
 
 
-def all_degrees(m, convention, engine="auto"):
+def all_degrees(m, convention):
     """Every A_c(m) under convention, then pvol."""
     cs = compositions(m.r, m.n)
-    return [mixed_eulerian_degree(m, c, convention, engine) for c in cs] + [pvol(m, convention, engine)]
+    return [mixed_eulerian_degree(m, c, convention) for c in cs] + [pvol(m, convention)]
+
+
+def all_flag_degrees(m, convention):
+    """all_degrees from the flag oracle: pvol as the multinomial-weighted
+    sum of the degrees."""
+    cs = list(compositions(m.r, m.n))
+    degrees = [flag_degree(m, composition_to_indices(c), convention) for c in cs]
+    multinomials = [factorial(m.r) // prod(map(factorial, c)) for c in cs]
+    return degrees + [sum(map(mul, multinomials, degrees))]
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
@@ -295,11 +304,7 @@ def test_rank_view_matches_flat_view_and_flag(m, convention, monkeypatch):
         by_flat = all_degrees(Matroid(m.m, m._cover_step, m.provenance), convention)
     assert by_rank == by_flat
     if m.m <= 15:
-        # pvol is the multinomial-weighted sum of the degrees
-        cs = list(compositions(m.r, m.n))
-        by_flag = [mixed_eulerian_degree(m, c, convention, "flag") for c in cs]
-        multinomials = [factorial(m.r) // prod(map(factorial, c)) for c in cs]
-        assert by_rank == by_flag + [sum(map(mul, multinomials, by_flag))]
+        assert by_rank == all_flag_degrees(m, convention)
 
 
 @pytest.mark.parametrize(
@@ -431,7 +436,7 @@ def test_boolean_intervals_match_flag(m, convention):
     intervals on B_R's rank view, against the flag oracle."""
     m = fresh(m)
     assert m.level_sizes() is None
-    assert all_degrees(m, convention) == all_degrees(m, convention, "flag")
+    assert all_degrees(m, convention) == all_flag_degrees(m, convention)
     # on a sparse paving matroid [0, g] is Boolean for each hyperplane g that
     # is no circuit and takes r - 1 >= 1 classes; the minor's one Boolean
     # interval, [0, p] for its point of size 1, takes none
@@ -440,7 +445,7 @@ def test_boolean_intervals_match_flag(m, convention):
 
 
 def test_boolean_intervals_keep_no_levels():
-    """The auto DP reads no level of a Boolean interval, on the table's
+    """The DP reads no level of a Boolean interval, on the table's
     sparse paving matroid on 10 elements, where most intervals are Boolean."""
     m = table_kind_sparse_paving(10)
     for conv in CONVENTIONS:

@@ -279,7 +279,7 @@ def test_ground_set_guard():
     ],
 )
 def test_all_compositions_match_oracle(build):
-    # the change of basis, the walk over lambda monomials and the auto DP
+    # the change of basis, the walk over lambda monomials and the degree DP
     m = build()
     for c in compositions(m.r, m.n):
         want = mixed_eulerian_degree(m, c)

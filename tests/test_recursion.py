@@ -14,7 +14,7 @@ from mixeuler import (
     build_sparse_paving,
     build_uniform,
 )
-from mixeuler.errors import PreconditionViolation, RankTooSmall
+from mixeuler.errors import PreconditionViolation, RankTooSmall, VOutOfRange
 from mixeuler.expansion import (
     CONVENTIONS,
     composition_to_indices,
@@ -32,7 +32,7 @@ from mixeuler.recursion import (
 from mixeuler.catalog import named_catalog
 from mixeuler.tutte import tutte_polynomial
 
-from reference import eulerian_per_flat, two_block_degree
+from reference import eulerian_per_flat, flag_degree, two_block_degree
 from seeded import SPARSE_PAVING_SEEDS, random_sparse_paving
 from test_matroid import SMALL_CATALOG, fresh
 
@@ -268,7 +268,7 @@ def test_delcon_memo_across_calls_matches_flag(name):
     ]
     rng.shuffle(calls)
     for v, s, convention in calls:
-        want = gamma_product_degree(oracle, v + (n,) * s, convention, "flag")
+        want = flag_degree(oracle, v + (n,) * s, convention)
         got = deletion_contraction_degree(shared, v, s, rng.randrange(shared.m), convention)
         assert got == want, (v, s, convention)
     assert set(shared._delcon) == set(CONVENTIONS)
@@ -366,7 +366,7 @@ def test_warm_relations_match_fresh_matroids_and_flag(name):
         vs = composition_to_indices(c)
         calls = relation_calls(shared, vs, rng) if vs else []
         for convention in CONVENTIONS if calls else ():
-            want = gamma_product_degree(shared, vs, convention, "flag")
+            want = flag_degree(shared, vs, convention)
             for pipeline, relation, args in calls:
                 ran.add(pipeline)
                 got = relation(shared, *args, convention)
@@ -374,6 +374,25 @@ def test_warm_relations_match_fresh_matroids_and_flag(name):
                 assert relation(fresh(shared), *args, convention) == want, (pipeline, c)
     if shared.rank_total >= 3:
         assert ran and shared._minors
+
+
+@pytest.mark.parametrize(
+    "relation",
+    [
+        lambda m, convention: eulerian_recursion_degree(m, (1, 1, 2), 1, convention),
+        lambda m, convention: deletion_contraction_degree(m, (1, 2, 3), 0, 0, convention),
+        lambda m, convention: cv_via_tutte_convolution(m, (1, 2, 3), convention),
+    ],
+    ids=["eulerian", "delcon", "convolution"],
+)
+def test_relations_refuse_an_unknown_convention_before_any_work(relation):
+    # each bad name raises before the relation reads or makes a store
+    m = build_uniform(4, 6)
+    core = set(vars(m))
+    for bad in ("a", "b", "c"):
+        with pytest.raises(VOutOfRange):
+            relation(m, bad)
+    assert set(vars(m)) == core
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from mixeuler import (
 from mixeuler.expansion import CONVENTIONS, composition_to_indices, compositions
 from mixeuler.matroid import Matroid, _Store
 
+from reference import flag_degree
+
 STORES = {name: store for name, store in vars(Matroid).items() if isinstance(store, _Store)}
 CORE = {"m", "full_mask", "rank_total", "flats_by_rank", "provenance", "_rank_of_flat", "_cover_step"}
 
@@ -51,16 +53,17 @@ MATROIDS = {
 
 
 def table(m):
-    """Every composition under both conventions, through auto and flag."""
+    """Every composition under both conventions, through the DP and the
+    flag oracle."""
     for c in compositions(m.r, m.n):
         for convention in CONVENTIONS:
-            for engine in ("auto", "flag"):
-                mixed_eulerian_degree(m, c, convention, engine)
+            mixed_eulerian_degree(m, c, convention)
+            flag_degree(m, composition_to_indices(c), convention)
 
 
 def pipelines(m):
     """The pipelines suite on every composition: localization, eulerian,
-    delcon and convolution beside the auto degree, under both conventions."""
+    delcon and convolution beside the DP's degree, under both conventions."""
     for c in compositions(m.r, m.n):
         vs = composition_to_indices(c)
         gamma_degree_via_localization(m, c)
